@@ -4,20 +4,26 @@
 //! reference engine and the event-driven differential engine, each with
 //! fault-space collapsing off and on.
 //!
-//! Four circuits: the paper's Figure-1b example, a random ≥200-FF netlist
+//! Seven circuits: the paper's Figure-1b example, a random ≥200-FF netlist
 //! (the scale where bit-parallel packing pays off), a random ≥1000-FF
 //! netlist showing how the differential engine's advantage grows with
-//! netlist size, and a 64-slice TMR register bank under periodic stimuli —
+//! netlist size, a 64-slice TMR register bank under periodic stimuli —
 //! the masked-heavy workload where collapsing folds the fault space onto a
-//! few golden contexts.  Besides the criterion reporting, the bench emits a
-//! machine-readable `BENCH_campaign.json` at the workspace root with all
-//! numbers, the per-row speedups and collapsing stats, the engine the
-//! `auto` policy resolves to per circuit, and the host CPU count.
+//! few golden contexts — the ingested `uart_tx`, and the paper's own
+//! workloads: the AVR register-file campaign and an MSP430 campaign, both
+//! with their memories attached.  Besides the criterion reporting, the
+//! bench emits a machine-readable `BENCH_campaign.json` at the workspace
+//! root with all numbers, the per-row speedups and collapsing stats, the
+//! engine the `auto` policy resolves to per circuit, and the host CPU
+//! count.
 
 use std::time::Instant;
 
 use criterion::{is_quick_test, Criterion, Throughput};
 
+use mate_cores::avr::programs as avr_programs;
+use mate_cores::msp430::programs as msp_programs;
+use mate_cores::{AvrWorkload, Msp430Workload, Termination};
 use mate_hafi::{
     run_campaign, run_campaign_wide, CampaignConfig, CampaignEngine, CampaignPruning,
     DesignHarness, FaultSpace, LaneWidth, PruningStats, StimulusHarness,
@@ -104,21 +110,30 @@ fn faults_per_sec(reps: usize, points: usize, mut run: impl FnMut()) -> f64 {
 fn measure(
     c: &mut Criterion,
     name: &'static str,
-    harness: &StimulusHarness,
+    harness: &(dyn DesignHarness + Sync),
     config: &CampaignConfig,
 ) -> Measured {
     let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), config.cycles);
+    measure_space(c, name, harness, &space, config)
+}
 
+fn measure_space(
+    c: &mut Criterion,
+    name: &'static str,
+    harness: &(dyn DesignHarness + Sync),
+    space: &FaultSpace,
+    config: &CampaignConfig,
+) -> Measured {
     // Sanity: every engine, lane width, and pruning mode must produce
     // identical records before we compare their speed.  In quick mode
     // (CI bench-smoke) this loop IS the test.
-    let scalar = run_campaign(harness, &space, config).unwrap();
+    let scalar = run_campaign(harness, space, config).unwrap();
     for engine in CampaignEngine::all() {
         for lanes in LaneWidth::all() {
             for pruning in CampaignPruning::all() {
                 let wide = run_campaign_wide(
                     harness,
-                    &space,
+                    space,
                     &CampaignConfig {
                         engine,
                         lanes,
@@ -140,7 +155,7 @@ fn measure(
     group.sample_size(10);
     group.throughput(Throughput::Elements(points as u64));
     group.bench_function("scalar", |b| {
-        b.iter(|| run_campaign(harness, &space, config).unwrap())
+        b.iter(|| run_campaign(harness, space, config).unwrap());
     });
     for engine in CampaignEngine::all() {
         for lanes in LaneWidth::all() {
@@ -152,7 +167,7 @@ fn measure(
                     ..*config
                 };
                 group.bench_function(&format!("{engine}/wide{lanes}/{pruning}"), |b| {
-                    b.iter(|| run_campaign_wide(harness, &space, &cfg).unwrap())
+                    b.iter(|| run_campaign_wide(harness, space, &cfg).unwrap());
                 });
             }
         }
@@ -161,7 +176,7 @@ fn measure(
 
     let reps = if is_quick_test() { 1 } else { 3 };
     let scalar_fps = faults_per_sec(reps, points, || {
-        run_campaign(harness, &space, config).unwrap();
+        run_campaign(harness, space, config).unwrap();
     });
     let mut rows = Vec::new();
     for engine in CampaignEngine::all() {
@@ -175,7 +190,7 @@ fn measure(
                 };
                 let mut stats = PruningStats::default();
                 let fps = faults_per_sec(reps, points, || {
-                    stats = run_campaign_wide(harness, &space, &cfg).unwrap().pruning;
+                    stats = run_campaign_wide(harness, space, &cfg).unwrap().pruning;
                 });
                 rows.push(Row {
                     engine,
@@ -396,6 +411,47 @@ fn main() {
             ..CampaignConfig::default()
         };
         results.push(measure(&mut c, "uart_tx", &harness, &config));
+    }
+
+    // The paper's AVR workload: register-file upsets under `fib()`, with
+    // the instruction ROM and data RAM attached.  The memories read only
+    // primary outputs, so the wide engines classify it (shrunk in quick
+    // mode, where the scalar baseline's O(points × cycles) replay bites).
+    {
+        let (cycles, sample) = if is_quick_test() {
+            (40, 32)
+        } else {
+            (300, 256)
+        };
+        let harness = AvrWorkload::new(avr_programs::fib(Termination::Loop), vec![]);
+        let (n, topo) = (harness.netlist(), harness.topology());
+        let rf = mate::ff_wires_filtered(n, topo, mate_bench::is_register_file);
+        let space = FaultSpace::for_wires(n, topo, &rf, cycles);
+        let config = CampaignConfig {
+            cycles,
+            sample: Some(sample),
+            seed: 7,
+            ..CampaignConfig::default()
+        };
+        results.push(measure_space(&mut c, "avr_rf", &harness, &space, &config));
+    }
+
+    // The paper's MSP430 workload: upsets in every flip-flop under
+    // `fib()`, with the unified memory attached (shrunk in quick mode).
+    {
+        let (cycles, sample) = if is_quick_test() {
+            (40, 32)
+        } else {
+            (300, 256)
+        };
+        let harness = Msp430Workload::new(msp_programs::fib(Termination::Loop));
+        let config = CampaignConfig {
+            cycles,
+            sample: Some(sample),
+            seed: 7,
+            ..CampaignConfig::default()
+        };
+        results.push(measure(&mut c, "msp430", &harness, &config));
     }
 
     for m in &results {

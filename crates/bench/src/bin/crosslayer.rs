@@ -32,9 +32,9 @@ fn main() {
 
     // --------------------------------------------------------------
     // Gate level: SEUs in register-file flip-flops of the netlist,
-    // classified by the pipeline's campaign stage (the snapshotable AVR
-    // memories select the checkpoint engine, so no per-point warm-up
-    // replay) and persisted to the artifact store.
+    // classified by the pipeline's campaign stage (the AVR memories read
+    // only primary outputs, so the campaign runs on the wide differential
+    // engine) and persisted to the artifact store.
     // --------------------------------------------------------------
     let mut flow = Flow::open_default(Core::Avr.design_source()).expect("pipeline failure");
     let rf_wires = {

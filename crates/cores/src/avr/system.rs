@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use mate_netlist::{Netlist, Topology};
-use mate_sim::{Simulator, SnapshotDevice, Testbench, WaveTrace};
+use mate_sim::{DevicePorts, Simulator, SnapshotDevice, Testbench, WaveTrace};
 
 use super::core::{build_avr, AvrPorts};
 use super::isa::Flags;
@@ -26,6 +26,13 @@ impl<'n> SnapshotDevice<'n> for AvrRom {
         let addr = sim.read_bus(self.ports.imem_addr.nets()) as usize;
         let word = self.rom.get(addr).copied().unwrap_or(0);
         sim.write_bus(self.ports.imem_data.nets(), u64::from(word));
+    }
+
+    fn ports(&self) -> DevicePorts {
+        DevicePorts {
+            reads: self.ports.imem_addr.nets().to_vec(),
+            drives: self.ports.imem_data.nets().to_vec(),
+        }
     }
 
     fn state(&self) -> Vec<u64> {
@@ -52,6 +59,17 @@ impl<'n> SnapshotDevice<'n> for AvrRam {
         if sim.value(self.ports.dmem_we.bit(0)) {
             let wdata = sim.read_bus(self.ports.dmem_wdata.nets()) as u8;
             self.ram.borrow_mut()[addr] = wdata;
+        }
+    }
+
+    fn ports(&self) -> DevicePorts {
+        let p = &self.ports;
+        DevicePorts {
+            reads: [&p.dmem_addr, &p.dmem_we, &p.dmem_wdata]
+                .iter()
+                .flat_map(|s| s.nets().iter().copied())
+                .collect(),
+            drives: p.dmem_rdata.nets().to_vec(),
         }
     }
 
@@ -170,9 +188,9 @@ impl AvrSystem {
         let ram = Rc::new(RefCell::new(ram));
 
         let mut tb = Testbench::new(&self.netlist, &self.topo);
-        // Both memories are snapshotable, so AVR campaigns can seed faulty
-        // runs from golden-state checkpoints instead of replaying the
-        // warm-up prefix.
+        // Both memories are snapshotable and read only primary outputs, so
+        // AVR campaigns run lane-parallel from the golden trace
+        // (`Testbench::can_run_wide`).
         tb.attach_snapshot(Box::new(AvrRom {
             rom,
             ports: self.ports.clone(),
@@ -244,6 +262,13 @@ mod tests {
         assert_eq!(run.dmem, model.dmem, "memory diverges");
         assert_eq!(run.port_log, model.port_log, "port log diverges");
         assert_eq!(run.flags, model.flags, "flags diverge");
+    }
+
+    #[test]
+    fn memories_are_transparent_to_wide_campaigns() {
+        let sys = AvrSystem::new();
+        let (tb, _) = sys.testbench(&[], &[]);
+        assert!(tb.can_run_wide());
     }
 
     #[test]

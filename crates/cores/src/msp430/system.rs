@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use mate_netlist::{Netlist, Topology};
-use mate_sim::{Simulator, SnapshotDevice, Testbench, WaveTrace};
+use mate_sim::{DevicePorts, Simulator, SnapshotDevice, Testbench, WaveTrace};
 
 use super::core::{build_msp430, Msp430Ports};
 use super::isa::SrFlags;
@@ -26,6 +26,17 @@ impl<'n> SnapshotDevice<'n> for Msp430Mem {
         if sim.value(self.ports.mem_we.bit(0)) {
             let wdata = sim.read_bus(self.ports.mem_wdata.nets()) as u16;
             self.mem.borrow_mut()[addr] = wdata;
+        }
+    }
+
+    fn ports(&self) -> DevicePorts {
+        let p = &self.ports;
+        DevicePorts {
+            reads: [&p.mem_addr, &p.mem_we, &p.mem_wdata]
+                .iter()
+                .flat_map(|s| s.nets().iter().copied())
+                .collect(),
+            drives: p.mem_rdata.nets().to_vec(),
         }
     }
 
@@ -143,8 +154,9 @@ impl Msp430System {
         let mem = Rc::new(RefCell::new(words));
 
         let mut tb = Testbench::new(&self.netlist, &self.topo);
-        // Snapshotable, so MSP430 campaigns can seed faulty runs from
-        // golden-state checkpoints instead of replaying the warm-up prefix.
+        // Snapshotable and reading only primary outputs, so MSP430
+        // campaigns run lane-parallel from the golden trace
+        // (`Testbench::can_run_wide`).
         tb.attach_snapshot(Box::new(Msp430Mem {
             mem: mem.clone(),
             ports: self.ports.clone(),
@@ -203,6 +215,13 @@ mod tests {
         assert!(run.halted, "netlist must halt");
         assert_eq!(run.regs[..], model.regs[..], "registers diverge");
         assert_eq!(run.mem, model.mem, "memory diverges");
+    }
+
+    #[test]
+    fn memory_is_transparent_to_wide_campaigns() {
+        let sys = Msp430System::new();
+        let (tb, _) = sys.testbench(&[]);
+        assert!(tb.can_run_wide());
     }
 
     #[test]

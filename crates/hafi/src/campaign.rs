@@ -308,17 +308,19 @@ pub fn classify_points_with(
 /// Classifies a batch of fault points against `golden`, choosing the
 /// fastest sound path the harness supports:
 ///
-/// 1. **Wide** — no external devices and pure stimuli: up to
-///    [`LaneWidth::lanes`] fault points per injection cycle are packed into
-///    the lanes of a batched engine seeded directly from the golden trace
-///    at the injection cycle, then classified in lock-step with per-lane
-///    early retirement.  `engine` picks between the event-driven
-///    [`CampaignEngine::Differential`] default and the full-settle
-///    [`CampaignEngine::FullSettle`] reference.
-/// 2. **Checkpointed scalar** — all devices snapshotable and pure stimuli:
-///    one incremental golden run captures a checkpoint at every injection
-///    cycle; each faulty run is seeded by restore instead of replaying the
-///    warm-up prefix.
+/// 1. **Wide** — pure stimuli and only transparent devices
+///    ([`mate_sim::Testbench::can_run_wide`]; the AVR and MSP430 memories
+///    qualify): up to [`LaneWidth::lanes`] fault points per injection
+///    cycle are packed into the lanes of a batched engine seeded directly
+///    from the golden trace at the injection cycle, then classified in
+///    lock-step with per-lane early retirement.  `engine` picks between
+///    the event-driven [`CampaignEngine::Differential`] default and the
+///    full-settle [`CampaignEngine::FullSettle`] reference.
+/// 2. **Checkpointed scalar** — the fallback for snapshotable devices that
+///    fail the transparency check (e.g. one reading an internal net), with
+///    pure stimuli: one incremental golden run captures a checkpoint at
+///    every injection cycle; each faulty run is seeded by restore instead
+///    of replaying the warm-up prefix.
 /// 3. **Scalar fallback** — anything else: one [`inject`] per point.
 ///
 /// All paths — every engine and lane width included — produce bit-identical
@@ -507,9 +509,12 @@ impl GoldenPartition {
 /// run seeded from the golden trace, and compares every lane against golden
 /// with block XORs.
 ///
-/// Early retirement is sound here because the wide path requires a harness
-/// without devices: once a lane's full flip-flop state re-converges to the
-/// golden state (inputs are golden by construction), *every* net of that
+/// Every primary input is driven from the golden trace each cycle.  That is
+/// exact because the wide path requires a harness whose devices are
+/// transparent ([`mate_sim::Testbench::can_run_wide`]): in every lane not
+/// yet classified, stimuli and device responses equal the golden run's.
+/// For the same reason early retirement is sound: once a lane's full
+/// flip-flop state re-converges to the golden state, *every* net of that
 /// lane equals golden in all later cycles, so its classification is already
 /// decided — `OutputFailure` can no longer occur and the recorded
 /// convergence offset is final, exactly as the scalar classifier would
@@ -520,9 +525,7 @@ fn classify_points_block<B: LaneBlock>(
     points: &[FaultPoint],
 ) -> Vec<FaultEffect> {
     let horizon = golden.trace.num_cycles();
-    // The testbench is used purely as a stimulus source; pure waves may be
-    // sampled at arbitrary cycles.
-    let mut stim = harness.testbench();
+    let inputs = harness.netlist().inputs();
     let mut wide: BlockSimulator<'_, B> =
         BlockSimulator::new(harness.netlist(), harness.topology());
     // Golden comparisons are precomputed per cycle: the observed nets are
@@ -547,7 +550,9 @@ fn classify_points_block<B: LaneBlock>(
             }
             let mut active = B::low_lanes(chunk.len());
             for t in cycle..horizon {
-                stim.apply_stimuli_block(&mut wide, t as u64);
+                for &net in inputs {
+                    wide.set_input(net, golden.trace.value(t, net));
+                }
                 wide.settle();
                 // Outputs first, mirroring the scalar classifier's priority.
                 let mut out_diff = B::ZERO;
@@ -599,11 +604,12 @@ fn classify_points_block<B: LaneBlock>(
 
 /// The event-driven engine behind [`classify_points_engine`]: like
 /// [`classify_points_block`] in grouping and retirement, but the chunk runs
-/// on a [`DeltaSimulator`] — campaign stimuli equal the golden stimuli by
-/// construction, so input deltas are identically zero and only the dirty
-/// fan-out frontier of each fault cone is ever re-evaluated.  The
-/// classification scan walks the simulator's nonzero-delta set rather than
-/// all observed nets: any net absent from it matches golden in every lane.
+/// on a [`DeltaSimulator`] — in every live lane the stimuli and the
+/// transparent devices' responses equal the golden ones, so input deltas
+/// are identically zero and only the dirty fan-out frontier of each fault
+/// cone is ever re-evaluated.  The classification scan walks the
+/// simulator's nonzero-delta set rather than all observed nets: any net
+/// absent from it matches golden in every lane.
 ///
 /// Early retirement is sound for the same reason as in the full-settle
 /// engine; convergence here is simply the lane's bits vanishing from every

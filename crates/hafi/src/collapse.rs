@@ -67,8 +67,9 @@ use crate::space::FaultPoint;
 /// Both modes produce bit-identical [`FaultEffect`] classifications for
 /// every engine, lane width, and thread count (enforced by the campaign
 /// proptests and the CI equivalence gate); collapsing only removes
-/// redundant work.  Only wide-capable harnesses (no external devices) can
-/// collapse — checkpointed and scalar paths ignore the setting.
+/// redundant work.  Only wide-capable harnesses (pure stimuli, transparent
+/// devices) can collapse — checkpointed and scalar paths ignore the
+/// setting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CampaignPruning {
     /// Simulate every fault point individually — the asserted-identical

@@ -4,61 +4,21 @@
 //! optimization: for every harness, engine, and thread count, a campaign
 //! with `CampaignPruning::Collapse` must produce **bit-identical records**
 //! to the same campaign with `CampaignPruning::Off`.  This test is the
-//! gate CI runs on both processor cores (AVR and MSP430) plus a
-//! wide-capable netlist workload where collapsing actually engages.
+//! gate CI runs on both processor cores (AVR and MSP430) plus wide-capable
+//! netlist workloads.
 //!
-//! The cores carry external memory devices, so their campaigns take the
-//! checkpoint path where collapsing is structurally impossible — the gate
-//! then asserts the stats honestly report an unpruned run instead of
-//! pretending to have skipped work.
+//! The cores' memories read only primary outputs, so their campaigns take
+//! the wide path and collapsing may engage on them as on any netlist.
 
 use mate_cores::avr::programs as avr_programs;
-use mate_cores::avr::system::AvrSystem;
 use mate_cores::msp430::programs as msp_programs;
-use mate_cores::msp430::system::Msp430System;
-use mate_cores::Termination;
+use mate_cores::{AvrWorkload, Msp430Workload, Termination};
 use mate_hafi::{
     run_campaign_wide, CampaignConfig, CampaignEngine, CampaignPruning, DesignHarness, FaultSpace,
     LaneWidth, StimulusHarness,
 };
 use mate_netlist::examples::tmr_register;
 use mate_netlist::random::{random_circuit, RandomCircuitConfig};
-use mate_sim::Testbench;
-
-struct AvrHarness {
-    sys: AvrSystem,
-    program: Vec<u16>,
-    dmem: Vec<u8>,
-}
-
-impl DesignHarness for AvrHarness {
-    fn netlist(&self) -> &mate_netlist::Netlist {
-        self.sys.netlist()
-    }
-    fn topology(&self) -> &mate_netlist::Topology {
-        self.sys.topology()
-    }
-    fn testbench(&self) -> Testbench<'_> {
-        self.sys.testbench(&self.program, &self.dmem).0
-    }
-}
-
-struct MspHarness {
-    sys: Msp430System,
-    image: Vec<u16>,
-}
-
-impl DesignHarness for MspHarness {
-    fn netlist(&self) -> &mate_netlist::Netlist {
-        self.sys.netlist()
-    }
-    fn topology(&self) -> &mate_netlist::Topology {
-        self.sys.topology()
-    }
-    fn testbench(&self) -> Testbench<'_> {
-        self.sys.testbench(&self.image).0
-    }
-}
 
 /// Runs the same sweep with pruning off and on and asserts the records and
 /// the effect histogram are identical.  Returns the (off, on) results so
@@ -98,36 +58,18 @@ fn assert_pruning_equivalent(
 
 #[test]
 fn avr_core_sweep_identical_with_and_without_collapsing() {
-    let harness = AvrHarness {
-        sys: AvrSystem::new(),
-        program: avr_programs::fib(Termination::Loop),
-        dmem: Vec::new(),
-    };
-    assert!(
-        !harness.testbench().can_run_wide(),
-        "AVR core should carry devices"
-    );
+    let harness = AvrWorkload::new(avr_programs::fib(Termination::Loop), vec![]);
+    assert!(harness.testbench().can_run_wide());
     let (_, on) = assert_pruning_equivalent(&harness, 80, Some(48));
-    // Checkpoint path: collapsing cannot engage, and the stats say so.
     assert_eq!(on.pruning.points, on.records.len());
-    assert_eq!(on.pruning.fallback, on.records.len());
-    assert_eq!(on.pruning.skipped, 0);
-    assert_eq!(on.pruning.classes, 0);
 }
 
 #[test]
 fn msp430_core_sweep_identical_with_and_without_collapsing() {
-    let harness = MspHarness {
-        sys: Msp430System::new(),
-        image: msp_programs::fib(Termination::Loop),
-    };
-    assert!(
-        !harness.testbench().can_run_wide(),
-        "MSP430 core should carry devices"
-    );
+    let harness = Msp430Workload::new(msp_programs::fib(Termination::Loop));
+    assert!(harness.testbench().can_run_wide());
     let (_, on) = assert_pruning_equivalent(&harness, 80, Some(48));
-    assert_eq!(on.pruning.fallback, on.records.len());
-    assert_eq!(on.pruning.skipped, 0);
+    assert_eq!(on.pruning.points, on.records.len());
 }
 
 #[test]

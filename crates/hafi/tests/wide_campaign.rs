@@ -2,7 +2,8 @@
 //! path through [`classify_points_engine`] — differential, full-settle,
 //! checkpointed scalar, and the scalar fallback — at every lane width and
 //! thread count, has to produce classifications bit-identical to one
-//! [`inject`] call per fault point.
+//! [`inject`] call per fault point, on random netlists and on the AVR and
+//! MSP430 cores with their memories attached.
 
 use proptest::prelude::*;
 
@@ -298,22 +299,160 @@ proptest! {
     }
 }
 
-mod checkpoint_path {
+/// The paper's processor cores: their memories read only primary outputs,
+/// so the cores take the wide path and must still match scalar injection.
+mod cores {
     use super::*;
     use mate_cores::avr::programs as avr_programs;
-    use mate_cores::avr::system::AvrSystem;
     use mate_cores::msp430::programs as msp_programs;
-    use mate_cores::msp430::system::Msp430System;
-    use mate_cores::Termination;
-    use mate_sim::Testbench;
+    use mate_cores::{AvrSystem, AvrWorkload, Msp430Workload, Termination};
+    use mate_sim::{DevicePorts, Simulator, SnapshotDevice, Testbench};
 
-    struct AvrHarness {
+    const CYCLES: usize = 120;
+    const SAMPLE: usize = 64;
+
+    /// Every engine × lane width × thread count × pruning mode returns the
+    /// records of one scalar `inject` per point.
+    fn assert_wide_matches_scalar(harness: &(dyn DesignHarness + Sync)) {
+        assert!(
+            harness.testbench().can_run_wide(),
+            "core memories must be transparent"
+        );
+        let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), CYCLES);
+        let base = CampaignConfig {
+            cycles: CYCLES,
+            sample: Some(SAMPLE),
+            seed: 42,
+            ..CampaignConfig::default()
+        };
+        let scalar = run_campaign(harness, &space, &base).unwrap();
+        assert_eq!(scalar.len(), SAMPLE);
+        let histogram = scalar.histogram();
+        assert!(
+            histogram.contains_key("output-failure") && histogram.contains_key("masked-1-cycle"),
+            "sample too narrow: {histogram:?}"
+        );
+        for engine in CampaignEngine::all() {
+            for lanes in LaneWidth::all() {
+                for threads in [1, 2] {
+                    for pruning in CampaignPruning::all() {
+                        let config = CampaignConfig {
+                            threads,
+                            lanes,
+                            engine,
+                            pruning,
+                            ..base
+                        };
+                        let run = run_campaign_wide(harness, &space, &config).unwrap();
+                        assert_eq!(
+                            run.records, scalar.records,
+                            "{engine} engine, {lanes} lanes, {threads} threads, {pruning} pruning"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Simultaneous pairs and triples of upsets through the batched
+    /// multi-SEU path match `inject_multi` at every width and pruning mode.
+    fn assert_multi_matches_scalar(harness: &dyn DesignHarness) {
+        let golden = golden_run(harness, CYCLES + 1);
+        let ffs = harness.topology().seq_cells();
+        let sets: Vec<Vec<FaultPoint>> = (0..24usize)
+            .map(|i| {
+                let cycle = (i * 37) % CYCLES;
+                (0..2 + i % 2)
+                    .map(|k| {
+                        let ff = ffs[(i * 131 + k * 17) % ffs.len()];
+                        FaultPoint {
+                            ff,
+                            wire: harness.netlist().cell(ff).output(),
+                            cycle,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let scalar: Vec<_> = sets
+            .iter()
+            .map(|set| inject_multi(harness, &golden, set).unwrap())
+            .collect();
+        for lanes in LaneWidth::all() {
+            let batched = classify_multi_points(harness, &golden, &sets, lanes).unwrap();
+            assert_eq!(scalar, batched, "{lanes} lanes");
+            for pruning in CampaignPruning::all() {
+                let (pruned, _) =
+                    classify_multi_points_pruned(harness, &golden, &sets, lanes, pruning).unwrap();
+                assert_eq!(scalar, pruned, "{lanes} lanes, {pruning} pruning");
+            }
+        }
+    }
+
+    #[test]
+    fn avr_fib_wide_matches_scalar_inject() {
+        let harness = AvrWorkload::new(avr_programs::fib(Termination::Loop), vec![]);
+        assert_wide_matches_scalar(&harness);
+        assert_multi_matches_scalar(&harness);
+    }
+
+    #[test]
+    fn avr_conv_wide_matches_scalar_inject() {
+        let (program, dmem) = avr_programs::conv(Termination::Loop);
+        let harness = AvrWorkload::new(program, dmem);
+        assert_wide_matches_scalar(&harness);
+        assert_multi_matches_scalar(&harness);
+    }
+
+    #[test]
+    fn msp430_fib_wide_matches_scalar_inject() {
+        let harness = Msp430Workload::new(msp_programs::fib(Termination::Loop));
+        assert_wide_matches_scalar(&harness);
+        assert_multi_matches_scalar(&harness);
+    }
+
+    #[test]
+    fn msp430_conv_wide_matches_scalar_inject() {
+        let harness = Msp430Workload::new(msp_programs::conv(Termination::Loop));
+        assert_wide_matches_scalar(&harness);
+        assert_multi_matches_scalar(&harness);
+    }
+
+    /// Folds the AVR instruction register into a checksum every cycle.  It
+    /// reads an internal net, so the transparency check must reject it.
+    struct IrProbe {
+        ir: Vec<mate_netlist::NetId>,
+        checksum: u64,
+    }
+
+    impl<'n> SnapshotDevice<'n> for IrProbe {
+        fn on_cycle(&mut self, sim: &mut Simulator<'n>) {
+            self.checksum = self.checksum.rotate_left(7) ^ sim.read_bus(&self.ir);
+        }
+
+        fn ports(&self) -> DevicePorts {
+            DevicePorts {
+                reads: self.ir.clone(),
+                drives: Vec::new(),
+            }
+        }
+
+        fn state(&self) -> Vec<u64> {
+            vec![self.checksum]
+        }
+
+        fn load_state(&mut self, state: &[u64]) {
+            self.checksum = state[0];
+        }
+    }
+
+    /// The AVR `fib` workload with an [`IrProbe`] attached.
+    struct ProbedAvr {
         sys: AvrSystem,
         program: Vec<u16>,
-        dmem: Vec<u8>,
     }
 
-    impl DesignHarness for AvrHarness {
+    impl DesignHarness for ProbedAvr {
         fn netlist(&self) -> &mate_netlist::Netlist {
             self.sys.netlist()
         }
@@ -321,64 +460,38 @@ mod checkpoint_path {
             self.sys.topology()
         }
         fn testbench(&self) -> Testbench<'_> {
-            self.sys.testbench(&self.program, &self.dmem).0
+            let (mut tb, _) = self.sys.testbench(&self.program, &[]);
+            tb.attach_snapshot(Box::new(IrProbe {
+                ir: self.sys.ports().ir.nets().to_vec(),
+                checksum: 0,
+            }));
+            tb
         }
     }
 
-    struct MspHarness {
-        sys: Msp430System,
-        image: Vec<u16>,
-    }
-
-    impl DesignHarness for MspHarness {
-        fn netlist(&self) -> &mate_netlist::Netlist {
-            self.sys.netlist()
-        }
-        fn topology(&self) -> &mate_netlist::Topology {
-            self.sys.topology()
-        }
-        fn testbench(&self) -> Testbench<'_> {
-            self.sys.testbench(&self.image).0
-        }
-    }
-
-    fn assert_checkpoint_matches_scalar(harness: &dyn DesignHarness, cycles: usize, sample: usize) {
-        // The cores carry external memory devices, so the wide path is out —
-        // but their memories snapshot, which selects the checkpoint engine.
+    #[test]
+    fn internal_net_device_falls_back_to_checkpoint_path() {
+        let harness = ProbedAvr {
+            sys: AvrSystem::new(),
+            program: avr_programs::fib(Termination::Loop),
+        };
+        let ir = harness.sys.ports().ir.bit(0);
+        assert!(!harness.netlist().outputs().contains(&ir));
         let probe = harness.testbench();
-        assert!(!probe.can_run_wide(), "cores have devices");
-        assert!(probe.can_checkpoint(), "core memories must snapshot");
+        assert!(!probe.can_run_wide(), "IR is not a primary output");
+        assert!(probe.can_checkpoint());
 
-        let golden = golden_run(harness, cycles + 1);
-        let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
-        let points = space.sample(sample, 42);
-        let batched = classify_points(harness, &golden, &points).unwrap();
+        let golden = golden_run(&harness, 81);
+        let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), 80);
+        let points = space.sample(48, 42);
+        let batched = classify_points(&harness, &golden, &points).unwrap();
         for (&point, checkpointed) in points.iter().zip(&batched) {
-            let scalar = inject(harness, &golden, point).unwrap();
+            let scalar = inject(&harness, &golden, point).unwrap();
             assert_eq!(
                 *checkpointed, scalar,
                 "ff {:?} cycle {}",
                 point.ff, point.cycle
             );
         }
-    }
-
-    #[test]
-    fn avr_checkpoint_classifications_match_scalar_inject() {
-        let harness = AvrHarness {
-            sys: AvrSystem::new(),
-            program: avr_programs::fib(Termination::Loop),
-            dmem: Vec::new(),
-        };
-        assert_checkpoint_matches_scalar(&harness, 80, 48);
-    }
-
-    #[test]
-    fn msp430_checkpoint_classifications_match_scalar_inject() {
-        let harness = MspHarness {
-            sys: Msp430System::new(),
-            image: msp_programs::fib(Termination::Loop),
-        };
-        assert_checkpoint_matches_scalar(&harness, 80, 48);
     }
 }

@@ -9,15 +9,17 @@
 //!
 //! Instead of absolute values, each net carries a **delta block**: lane `l`
 //! of `delta[net]` is `actual XOR golden` for that net in scenario `l`.
-//! Because campaign stimuli equal the golden stimuli by construction, input
-//! deltas are identically zero and never need to be applied.  A settle then
-//! touches only the *dirty frontier*: the fan-out rows (via the
-//! [`SoaNetlist`] fan-out CSR) of nets whose delta is nonzero in any lane,
-//! swept in levelized row order through a bitset worklist — the same
-//! generation-free forward-sweep pattern as `core/src/propagate.rs`.  A
-//! row's absolute input values are recovered on the fly as
-//! `golden XOR delta` (one [`TransposedTrace`] bit probe per pin), so the
-//! full golden state never has to be materialized per lane.
+//! Because the primary inputs of every live campaign lane follow the golden
+//! trace (pure stimuli and transparent devices, see
+//! [`crate::Testbench::can_run_wide`]), input deltas are identically zero
+//! and never need to be applied.  A settle then touches only the *dirty
+//! frontier*: the fan-out rows (via the [`SoaNetlist`] fan-out CSR) of
+//! nets whose delta is nonzero in any lane, swept in levelized row order
+//! through a bitset worklist — the same generation-free forward-sweep
+//! pattern as `core/src/propagate.rs`.  A row's absolute input values are
+//! recovered on the fly as `golden XOR delta` (one [`TransposedTrace`] bit
+//! probe per pin), so the full golden state never has to be materialized
+//! per lane.
 //!
 //! Convergence detection is free: the simulator keeps the exact set of
 //! nets with nonzero delta, so "all lanes back on the golden trajectory"
@@ -52,7 +54,8 @@ use crate::wide::BlockSimulator;
 /// Mirrors [`BlockSimulator`] semantics exactly — lane `l` of
 /// `golden XOR delta` is cycle-for-cycle identical to a scalar run with the
 /// same flips — under the contract that primary inputs follow the golden
-/// trace (which campaign stimuli do by construction).
+/// trace (which [`crate::Testbench::can_run_wide`] guarantees for every
+/// lane a campaign has not yet classified).
 #[derive(Clone, Debug)]
 pub struct DeltaSimulator<'n, B: LaneBlock = u64> {
     netlist: &'n Netlist,

@@ -58,7 +58,7 @@ pub use delta::DeltaSimulator;
 pub use engine::{SimCheckpoint, SimSnapshot, Simulator};
 pub use equiv::{check_equiv, Mismatch};
 pub use mate_netlist::MateError;
-pub use testbench::{InputWave, SnapshotDevice, Testbench, TestbenchCheckpoint};
+pub use testbench::{DevicePorts, InputWave, SnapshotDevice, Testbench, TestbenchCheckpoint};
 pub use trace::WaveTrace;
 pub use transposed::{CycleView, TransposedTrace};
 pub use vcd::{read_vcd, write_vcd};

@@ -4,7 +4,6 @@ use mate_netlist::prelude::*;
 
 use crate::engine::{SimCheckpoint, Simulator};
 use crate::trace::WaveTrace;
-use crate::wide::{BlockSimulator, WideSimulator};
 
 /// A per-cycle stimulus for one primary input.
 pub struct InputWave {
@@ -100,17 +99,36 @@ impl std::fmt::Debug for InputWave {
 /// satisfy this naturally.
 pub type Device<'n> = Box<dyn FnMut(&mut Simulator<'n>) + 'n>;
 
+/// The nets a [`SnapshotDevice`] reads and the primary inputs it drives,
+/// declared so [`Testbench::can_run_wide`] can check the device
+/// structurally.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct DevicePorts {
+    /// Every net [`SnapshotDevice::on_cycle`] reads.
+    pub reads: Vec<NetId>,
+    /// Every primary input [`SnapshotDevice::on_cycle`] drives.
+    pub drives: Vec<NetId>,
+}
+
 /// A device whose external state (memory contents, peripheral registers) can
 /// be captured and restored.
 ///
 /// Campaigns use this to checkpoint a golden run at each injection cycle and
 /// seed faulty runs from there instead of replaying the warm-up prefix; a
 /// testbench whose devices all implement this trait reports
-/// [`Testbench::can_checkpoint`].
+/// [`Testbench::can_checkpoint`].  Devices also declare their
+/// [`DevicePorts`], which lets [`Testbench::can_run_wide`] prove them
+/// transparent to lane-parallel campaigns.
 pub trait SnapshotDevice<'n> {
     /// Runs the device for the current cycle, like a plain [`Device`]
     /// closure: read settled outputs, drive primary inputs.
     fn on_cycle(&mut self, sim: &mut Simulator<'n>);
+
+    /// The nets [`Self::on_cycle`] reads and the primary inputs it drives.
+    /// The declaration must be complete: an omitted read would let
+    /// [`Testbench::can_run_wide`] accept a device it cannot prove
+    /// transparent.
+    fn ports(&self) -> DevicePorts;
 
     /// Serializes every piece of state mutated by [`Self::on_cycle`].
     /// Read-only devices (ROMs) return an empty vector.
@@ -203,7 +221,21 @@ impl<'n> Testbench<'n> {
     }
 
     /// Attaches a snapshotable reactive device.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device declares a driven net that is not a primary
+    /// input.
     pub fn attach_snapshot(&mut self, device: Box<dyn SnapshotDevice<'n> + 'n>) -> &mut Self {
+        let netlist = self.sim.netlist();
+        for net in device.ports().drives {
+            assert_eq!(
+                netlist.net(net).driver(),
+                NetDriver::Input,
+                "device declares that it drives `{}`, which is not a primary input",
+                netlist.net(net).name()
+            );
+        }
         self.devices.push(DeviceSlot::Snapshot(device));
         self
     }
@@ -228,10 +260,42 @@ impl<'n> Testbench<'n> {
                 .all(|slot| matches!(slot, DeviceSlot::Snapshot(_)))
     }
 
-    /// `true` when the run can be re-created lane-parallel in a
-    /// [`WideSimulator`]: pure stimuli and no external devices at all.
+    /// `true` when a faulty run can be re-created lane-parallel from the
+    /// golden trace: every stimulus is pure and every device is
+    /// *transparent*, i.e. snapshotable and reading only primary outputs
+    /// that no device-driven input reaches combinationally.
+    ///
+    /// Transparency is what makes the lane-parallel engines exact.  A
+    /// faulty run whose device reads diverge from the golden run already
+    /// shows a wrong primary output in that same cycle, so it is classified
+    /// there.  And because the reads are not downstream of device-driven
+    /// inputs, the value a device samples after the first settle is the
+    /// settled value the trace records.  So in every faulty run still
+    /// unclassified, each device sees exactly its golden reads, keeps its
+    /// golden state and drives its golden values: the primary inputs follow
+    /// the golden trace, which is all the wide engines assume.
     pub fn can_run_wide(&self) -> bool {
-        self.devices.is_empty() && self.pure_stimuli()
+        if !self.pure_stimuli() {
+            return false;
+        }
+        let mut reads = Vec::new();
+        let mut drives = Vec::new();
+        for slot in &self.devices {
+            let DeviceSlot::Snapshot(device) = slot else {
+                return false;
+            };
+            let ports = device.ports();
+            reads.extend(ports.reads);
+            drives.extend(ports.drives);
+        }
+        let netlist = self.sim.netlist();
+        if !reads.iter().all(|net| netlist.outputs().contains(net)) {
+            return false;
+        }
+        drives.is_empty() || {
+            let cone = FaultCone::compute_multi(netlist, self.sim.topology(), &drives);
+            !reads.iter().any(|&net| cone.contains_net(net))
+        }
     }
 
     /// Captures a checkpoint of the simulator and all device state.
@@ -276,35 +340,6 @@ impl<'n> Testbench<'n> {
                 DeviceSlot::Snapshot(d) => d.load_state(state),
                 DeviceSlot::Opaque(_) => panic!("cannot restore into an opaque device"),
             }
-        }
-    }
-
-    /// Broadcasts this testbench's stimuli for `cycle` to all 64 lanes of a
-    /// wide simulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`Testbench::pure_stimuli`] holds — impure waves cannot
-    /// be sampled at arbitrary cycles.
-    pub fn apply_stimuli_wide(&mut self, wide: &mut WideSimulator<'n>, cycle: u64) {
-        self.apply_stimuli_block(wide, cycle);
-    }
-
-    /// Broadcasts this testbench's stimuli for `cycle` to every lane of a
-    /// block simulator of any lane width.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`Testbench::pure_stimuli`] holds — impure waves cannot
-    /// be sampled at arbitrary cycles.
-    pub fn apply_stimuli_block<B: LaneBlock>(
-        &mut self,
-        wide: &mut BlockSimulator<'n, B>,
-        cycle: u64,
-    ) {
-        assert!(self.pure_stimuli(), "wide stimuli require pure waves");
-        for (net, wave) in &mut self.stimuli {
-            wide.set_input(*net, wave.sample(cycle));
         }
     }
 
@@ -441,6 +476,106 @@ mod tests {
             log.borrow().as_slice(),
             &[false, true, true, true, true, true]
         );
+    }
+
+    /// A register whose output `q` depends only on its own state and the
+    /// stimulus `en`, plus an output `y = rdata & q` that is combinationally
+    /// downstream of the device-driven input `rdata`.
+    fn bus_netlist() -> (Netlist, Topology) {
+        let mut n = Netlist::new("bus", Library::open15());
+        let en = n.add_input("en");
+        let rdata = n.add_input("rdata");
+        let q = n.add_net("q");
+        let d = n.add_cell_named("XOR2", "toggle", &[q, en], "d").unwrap();
+        n.add_cell_to("DFF", "ff", &[d], q).unwrap();
+        let y = n.add_cell_named("AND2", "gate", &[rdata, q], "y").unwrap();
+        n.set_output(q);
+        n.set_output(y);
+        let topo = n.validate().unwrap();
+        (n, topo)
+    }
+
+    /// Drives every declared input with the value of its first read.
+    struct PortDevice(DevicePorts);
+
+    impl<'n> SnapshotDevice<'n> for PortDevice {
+        fn on_cycle(&mut self, sim: &mut Simulator<'n>) {
+            let v = sim.value(self.0.reads[0]);
+            for &net in &self.0.drives {
+                sim.set_input(net, v);
+            }
+        }
+
+        fn ports(&self) -> DevicePorts {
+            self.0.clone()
+        }
+
+        fn state(&self) -> Vec<u64> {
+            Vec::new()
+        }
+
+        fn load_state(&mut self, _: &[u64]) {}
+    }
+
+    /// Whether a bus testbench with one device reading `read` and driving
+    /// `rdata` passes the transparency check.
+    fn wide_with_device(read: &str) -> bool {
+        let (n, topo) = bus_netlist();
+        let mut tb = Testbench::new(&n, &topo);
+        tb.drive(n.find_net("en").unwrap(), InputWave::constant(true));
+        tb.attach_snapshot(Box::new(PortDevice(DevicePorts {
+            reads: vec![n.find_net(read).unwrap()],
+            drives: vec![n.find_net("rdata").unwrap()],
+        })));
+        tb.can_run_wide()
+    }
+
+    #[test]
+    fn device_reading_an_output_upstream_of_its_drives_is_transparent() {
+        assert!(wide_with_device("q"));
+    }
+
+    #[test]
+    fn device_reading_a_non_output_net_is_not_transparent() {
+        assert!(!wide_with_device("d"));
+    }
+
+    #[test]
+    fn device_reading_an_output_downstream_of_its_drives_is_not_transparent() {
+        assert!(!wide_with_device("y"));
+    }
+
+    #[test]
+    fn opaque_device_is_not_transparent() {
+        let (n, topo) = bus_netlist();
+        let mut tb = Testbench::new(&n, &topo);
+        tb.drive(n.find_net("en").unwrap(), InputWave::constant(true));
+        assert!(tb.can_run_wide());
+        tb.attach(Box::new(|_| {}));
+        assert!(!tb.can_run_wide());
+        assert!(!tb.can_checkpoint());
+    }
+
+    #[test]
+    fn impure_stimuli_are_not_wide() {
+        let (n, topo) = bus_netlist();
+        let mut tb = Testbench::new(&n, &topo);
+        tb.drive(
+            n.find_net("en").unwrap(),
+            InputWave::from_fn(|c| c % 2 == 0),
+        );
+        assert!(!tb.can_run_wide());
+    }
+
+    #[test]
+    #[should_panic(expected = "declares that it drives `q`, which is not a primary input")]
+    fn device_driving_a_non_input_is_rejected() {
+        let (n, topo) = bus_netlist();
+        let mut tb = Testbench::new(&n, &topo);
+        tb.attach_snapshot(Box::new(PortDevice(DevicePorts {
+            reads: vec![n.find_net("y").unwrap()],
+            drives: vec![n.find_net("q").unwrap()],
+        })));
     }
 
     #[test]
