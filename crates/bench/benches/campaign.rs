@@ -1,19 +1,18 @@
 //! Campaign-engine throughput: scalar per-point `inject` vs. the batched
 //! lane-parallel engines at every lane width (64-lane words, 256- and
 //! 512-lane SoA blocks), in faults per second — for both the full-settle
-//! reference engine and the event-driven differential engine, each with
-//! fault-space collapsing off and on.
+//! reference engine and the event-driven differential engine.
 //!
 //! Seven circuits: the paper's Figure-1b example, a random ≥200-FF netlist
 //! (the scale where bit-parallel packing pays off), a random ≥1000-FF
 //! netlist showing how the differential engine's advantage grows with
 //! netlist size, a 64-slice TMR register bank under periodic stimuli —
-//! the masked-heavy workload where collapsing folds the fault space onto a
-//! few golden contexts — the ingested `uart_tx`, and the paper's own
+//! a masked-heavy workload with small, slice-local fault cones — the
+//! ingested `uart_tx`, and the paper's own
 //! workloads: the AVR register-file campaign and an MSP430 campaign, both
 //! with their memories attached.  Besides the criterion reporting, the
 //! bench emits a machine-readable `BENCH_campaign.json` at the workspace
-//! root with all numbers, the per-row speedups and collapsing stats, the
+//! root with all numbers, the per-row speedups, the
 //! engine the `auto` policy resolves to per circuit, and the host CPU
 //! count.
 
@@ -25,8 +24,8 @@ use mate_cores::avr::programs as avr_programs;
 use mate_cores::msp430::programs as msp_programs;
 use mate_cores::{AvrWorkload, Msp430Workload, Termination};
 use mate_hafi::{
-    run_campaign, run_campaign_wide, CampaignConfig, CampaignEngine, CampaignPruning,
-    DesignHarness, FaultSpace, LaneWidth, PruningStats, StimulusHarness,
+    run_campaign, run_campaign_wide, CampaignConfig, CampaignEngine, DesignHarness, FaultSpace,
+    LaneWidth, StimulusHarness,
 };
 use mate_netlist::examples::{figure1b, tmr_bank};
 use mate_netlist::random::{random_circuit, RandomCircuitConfig};
@@ -50,13 +49,11 @@ fn drive_all_inputs(mut harness: StimulusHarness, seed: u64, cycles: usize) -> S
     harness
 }
 
-/// One measured `(engine, lane_width, pruning)` configuration.
+/// One measured `(engine, lane_width)` configuration.
 struct Row {
     engine: CampaignEngine,
     lanes: usize,
-    pruning: CampaignPruning,
     fps: f64,
-    stats: PruningStats,
 }
 
 struct Measured {
@@ -71,27 +68,12 @@ struct Measured {
 }
 
 impl Measured {
-    /// The uncollapsed full-settle faults/second at `lane_width`, the
-    /// reference the differential rows are compared against.
+    /// The full-settle faults/second at `lane_width`, the reference the
+    /// differential rows are compared against.
     fn full_settle_fps(&self, lane_width: usize) -> Option<f64> {
         self.rows
             .iter()
-            .find(|r| {
-                r.engine == CampaignEngine::FullSettle
-                    && r.lanes == lane_width
-                    && r.pruning == CampaignPruning::Off
-            })
-            .map(|r| r.fps)
-    }
-
-    /// The same engine and width with collapsing off — the reference a
-    /// collapsed row's `speedup_vs_unpruned` is computed against.
-    fn unpruned_fps(&self, engine: CampaignEngine, lane_width: usize) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| {
-                r.engine == engine && r.lanes == lane_width && r.pruning == CampaignPruning::Off
-            })
+            .find(|r| r.engine == CampaignEngine::FullSettle && r.lanes == lane_width)
             .map(|r| r.fps)
     }
 }
@@ -124,29 +106,26 @@ fn measure_space(
     space: &FaultSpace,
     config: &CampaignConfig,
 ) -> Measured {
-    // Sanity: every engine, lane width, and pruning mode must produce
-    // identical records before we compare their speed.  In quick mode
-    // (CI bench-smoke) this loop IS the test.
+    // Sanity: every engine and lane width must produce identical records
+    // before we compare their speed.  In quick mode (CI bench-smoke) this
+    // loop IS the test.
     let scalar = run_campaign(harness, space, config).unwrap();
     for engine in CampaignEngine::all() {
         for lanes in LaneWidth::all() {
-            for pruning in CampaignPruning::all() {
-                let wide = run_campaign_wide(
-                    harness,
-                    space,
-                    &CampaignConfig {
-                        engine,
-                        lanes,
-                        pruning,
-                        ..*config
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    scalar.records, wide.records,
-                    "{engine} {lanes}-lane {pruning} engine diverges on {name}"
-                );
-            }
+            let wide = run_campaign_wide(
+                harness,
+                space,
+                &CampaignConfig {
+                    engine,
+                    lanes,
+                    ..*config
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                scalar.records, wide.records,
+                "{engine} {lanes}-lane engine diverges on {name}"
+            );
         }
     }
     let points = scalar.len();
@@ -159,17 +138,14 @@ fn measure_space(
     });
     for engine in CampaignEngine::all() {
         for lanes in LaneWidth::all() {
-            for pruning in CampaignPruning::all() {
-                let cfg = CampaignConfig {
-                    engine,
-                    lanes,
-                    pruning,
-                    ..*config
-                };
-                group.bench_function(&format!("{engine}/wide{lanes}/{pruning}"), |b| {
-                    b.iter(|| run_campaign_wide(harness, space, &cfg).unwrap());
-                });
-            }
+            let cfg = CampaignConfig {
+                engine,
+                lanes,
+                ..*config
+            };
+            group.bench_function(format!("{engine}/wide{lanes}"), |b| {
+                b.iter(|| run_campaign_wide(harness, space, &cfg).unwrap());
+            });
         }
     }
     group.finish();
@@ -181,25 +157,19 @@ fn measure_space(
     let mut rows = Vec::new();
     for engine in CampaignEngine::all() {
         for lanes in LaneWidth::all() {
-            for pruning in CampaignPruning::all() {
-                let cfg = CampaignConfig {
-                    engine,
-                    lanes,
-                    pruning,
-                    ..*config
-                };
-                let mut stats = PruningStats::default();
-                let fps = faults_per_sec(reps, points, || {
-                    stats = run_campaign_wide(harness, space, &cfg).unwrap().pruning;
-                });
-                rows.push(Row {
-                    engine,
-                    lanes: lanes.lanes(),
-                    pruning,
-                    fps,
-                    stats,
-                });
-            }
+            let cfg = CampaignConfig {
+                engine,
+                lanes,
+                ..*config
+            };
+            let fps = faults_per_sec(reps, points, || {
+                run_campaign_wide(harness, space, &cfg).unwrap();
+            });
+            rows.push(Row {
+                engine,
+                lanes: lanes.lanes(),
+                fps,
+            });
         }
     }
     Measured {
@@ -229,30 +199,11 @@ fn write_json(results: &[Measured]) {
                     .map_or(String::new(), |reference| {
                         format!(", \"speedup_vs_full_settle\": {:.2}", r.fps / reference)
                     });
-                let collapse = if r.pruning == CampaignPruning::Collapse {
-                    let vs_unpruned = m
-                        .unpruned_fps(r.engine, r.lanes)
-                        .map_or(String::new(), |reference| {
-                            format!("\"speedup_vs_unpruned\": {:.2}, ", r.fps / reference)
-                        });
-                    format!(
-                        ", {vs_unpruned}\"skip_rate\": {:.3}, \"classes\": {}, \
-                         \"probes\": {}, \"fallback\": {}, \"memo_hits\": {}",
-                        r.stats.skip_rate(),
-                        r.stats.classes,
-                        r.stats.probes,
-                        r.stats.fallback,
-                        r.stats.memo_hits
-                    )
-                } else {
-                    String::new()
-                };
                 format!(
-                    "{{\"engine\": \"{}\", \"lane_width\": {}, \"pruning\": \"{}\", \
-                     \"faults_per_sec\": {:.1}, \"speedup_vs_scalar\": {:.2}{vs_full}{collapse}}}",
+                    "{{\"engine\": \"{}\", \"lane_width\": {}, \
+                     \"faults_per_sec\": {:.1}, \"speedup_vs_scalar\": {:.2}{vs_full}}}",
                     r.engine,
                     r.lanes,
-                    r.pruning,
                     r.fps,
                     r.fps / m.scalar_fps
                 )
@@ -361,18 +312,10 @@ fn main() {
 
     // A TMR register bank under periodic stimuli: 192 FFs whose upsets the
     // voters mask within one cycle, with fault cones confined to their own
-    // slice.  The periodic load/din pattern gives every flip-flop only a
-    // handful of distinct golden contexts across the whole trace, so
-    // fault-space collapsing classifies whole columns of the space from
-    // one representative probe each — the workload collapsing is for
-    // (shrunk in quick mode).
+    // slice (shrunk in quick mode).
     {
         // Sparse sampling (16 of 192 FFs per cycle on average), like the
-        // random workloads: this is the regime where collapsing pays —
-        // the unpruned engines get under-filled per-cycle lane batches,
-        // while the collapsed path probes each golden context once, at its
-        // first occurrence.  (Exhaustive spaces saturate the per-cycle
-        // batches and the unpruned engines are already near-optimal.)
+        // random workloads: per-cycle lane batches stay under-filled.
         let (bits, cycles, sample) = if is_quick_test() {
             (8, 32, None)
         } else {
@@ -463,20 +406,10 @@ fn main() {
             let vs_full = m.full_settle_fps(r.lanes).map_or(String::new(), |x| {
                 format!(", {:.1}x vs full-settle", r.fps / x)
             });
-            let collapse = if r.pruning == CampaignPruning::Collapse {
-                let vs_unpruned = m.unpruned_fps(r.engine, r.lanes).map_or(0.0, |x| r.fps / x);
-                format!(
-                    ", {vs_unpruned:.1}x vs unpruned, {:.0}% skipped",
-                    r.stats.skip_rate() * 100.0
-                )
-            } else {
-                String::new()
-            };
             eprintln!(
-                "  {} {} lanes {}: {:.0}/s ({:.1}x vs scalar{vs_full}{collapse})",
+                "  {} {} lanes: {:.0}/s ({:.1}x vs scalar{vs_full})",
                 r.engine,
                 r.lanes,
-                r.pruning,
                 r.fps,
                 r.fps / m.scalar_fps
             );

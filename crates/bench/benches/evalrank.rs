@@ -17,8 +17,8 @@ use mate::eval::{evaluate_scalar, evaluate_transposed_blocks};
 use mate::mates::{summarize, Mate, MateSet};
 use mate::select::{rank_eager, rank_transposed_blocks};
 use mate_hafi::{
-    run_campaign_wide, CampaignConfig, CampaignEngine, CampaignPruning, DesignHarness, FaultSpace,
-    LaneWidth, StimulusHarness,
+    run_campaign_wide, CampaignConfig, CampaignEngine, DesignHarness, FaultSpace, LaneWidth,
+    StimulusHarness,
 };
 use mate_netlist::random::{random_circuit, RandomCircuitConfig};
 use mate_netlist::{LaneBlock, NetCube, NetId, B256, B512};
@@ -166,16 +166,16 @@ fn measure_eval_and_rank(
     group.sample_size(10);
     group.throughput(Throughput::Elements(points as u64));
     group.bench_function("scalar", |b| {
-        b.iter(|| evaluate_scalar(mates, trace, wires))
+        b.iter(|| evaluate_scalar(mates, trace, wires));
     });
     group.bench_function("word_parallel", |b| {
-        b.iter(|| evaluate_transposed_blocks::<u64>(mates, &transposed, wires))
+        b.iter(|| evaluate_transposed_blocks::<u64>(mates, &transposed, wires));
     });
     group.bench_function("block256", |b| {
-        b.iter(|| evaluate_transposed_blocks::<B256>(mates, &transposed, wires))
+        b.iter(|| evaluate_transposed_blocks::<B256>(mates, &transposed, wires));
     });
     group.bench_function("block512", |b| {
-        b.iter(|| evaluate_transposed_blocks::<B512>(mates, &transposed, wires))
+        b.iter(|| evaluate_transposed_blocks::<B512>(mates, &transposed, wires));
     });
     group.finish();
 
@@ -183,13 +183,13 @@ fn measure_eval_and_rank(
     group.sample_size(10);
     group.bench_function("eager", |b| b.iter(|| rank_eager(mates, trace, wires)));
     group.bench_function("lazy_celf", |b| {
-        b.iter(|| rank_transposed_blocks::<u64>(mates, &transposed, wires))
+        b.iter(|| rank_transposed_blocks::<u64>(mates, &transposed, wires));
     });
     group.bench_function("lazy_celf256", |b| {
-        b.iter(|| rank_transposed_blocks::<B256>(mates, &transposed, wires))
+        b.iter(|| rank_transposed_blocks::<B256>(mates, &transposed, wires));
     });
     group.bench_function("lazy_celf512", |b| {
-        b.iter(|| rank_transposed_blocks::<B512>(mates, &transposed, wires))
+        b.iter(|| rank_transposed_blocks::<B512>(mates, &transposed, wires));
     });
     group.finish();
 
@@ -241,7 +241,6 @@ fn measure_campaign(
         threads: 1,
         lanes: LaneWidth::default(),
         engine: CampaignEngine::default(),
-        pruning: CampaignPruning::default(),
     };
     let many = CampaignConfig { threads, ..one };
 
@@ -254,10 +253,10 @@ fn measure_campaign(
     group.sample_size(10);
     group.throughput(Throughput::Elements(points as u64));
     group.bench_function("1_thread", |b| {
-        b.iter(|| run_campaign_wide(harness, &space, &one).unwrap())
+        b.iter(|| run_campaign_wide(harness, &space, &one).unwrap());
     });
     group.bench_function(format!("{threads}_threads"), |b| {
-        b.iter(|| run_campaign_wide(harness, &space, &many).unwrap())
+        b.iter(|| run_campaign_wide(harness, &space, &many).unwrap());
     });
     group.finish();
 
@@ -405,9 +404,7 @@ fn main() {
         (e, r, m)
     };
 
-    let host_cpus = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let widths: Vec<String> = eval_m
         .width_pps
         .iter()

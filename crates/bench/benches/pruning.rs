@@ -41,16 +41,16 @@ fn pruning_benches(c: &mut Criterion) {
     group.throughput(Throughput::Elements(s.trace.num_cycles() as u64));
 
     group.bench_function("evaluate_full_set", |b| {
-        b.iter(|| evaluate(&s.mates, &s.trace, &s.wires))
+        b.iter(|| evaluate(&s.mates, &s.trace, &s.wires));
     });
 
     let top50 = select_top_n(&s.mates, &s.trace, &s.wires, 50);
     group.bench_function("evaluate_top50", |b| {
-        b.iter(|| evaluate(&top50, &s.trace, &s.wires))
+        b.iter(|| evaluate(&top50, &s.trace, &s.wires));
     });
 
     group.bench_function("select_top50", |b| {
-        b.iter(|| select_top_n(&s.mates, &s.trace, &s.wires, 50))
+        b.iter(|| select_top_n(&s.mates, &s.trace, &s.wires, 50));
     });
 
     group.finish();

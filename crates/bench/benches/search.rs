@@ -104,10 +104,10 @@ fn measure_design(
         group.sample_size(10);
         group.throughput(Throughput::Elements(candidates));
         group.bench_function("reference", |b| {
-            b.iter(|| search_design(netlist, topo, wires, &reference_cfg))
+            b.iter(|| search_design(netlist, topo, wires, &reference_cfg));
         });
         group.bench_function("optimized", |b| {
-            b.iter(|| search_design(netlist, topo, wires, &optimized_cfg))
+            b.iter(|| search_design(netlist, topo, wires, &optimized_cfg));
         });
         group.finish();
 
@@ -194,11 +194,9 @@ fn main() {
         quick,
     );
 
-    let host_cpus = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     for (name, measured) in [("avr", &avr_m), ("msp430", &msp_m)] {
-        for m in measured.iter() {
+        for m in measured {
             eprintln!(
                 "{name}/{}: {} wires, {} candidates — reference {:.0} cand/s, optimized {:.0} \
                  cand/s, speedup {:.1}x",

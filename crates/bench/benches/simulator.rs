@@ -18,12 +18,12 @@ fn simulator_benches(c: &mut Criterion) {
 
     let avr = AvrWorkload::new(avr_programs::fib(Termination::Loop), vec![]);
     group.bench_function("avr_fib_1k_cycles", |b| {
-        b.iter(|| avr.testbench().run(CYCLES))
+        b.iter(|| avr.testbench().run(CYCLES));
     });
 
     let msp = Msp430Workload::new(msp_programs::fib(Termination::Loop));
     group.bench_function("msp430_fib_1k_cycles", |b| {
-        b.iter(|| msp.testbench().run(CYCLES))
+        b.iter(|| msp.testbench().run(CYCLES));
     });
 
     // One complete fault-injection experiment: re-run to the injection
@@ -44,7 +44,7 @@ fn simulator_benches(c: &mut Criterion) {
                 },
             )
             .unwrap()
-        })
+        });
     });
 
     group.finish();

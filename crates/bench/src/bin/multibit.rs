@@ -35,7 +35,10 @@ fn main() {
         .iter()
         .map(|&ff| netlist.cell(ff).output())
         .collect();
-    let pairs: Vec<Vec<mate_netlist::NetId>> = ffs.windows(2).map(|w| w.to_vec()).collect();
+    let pairs: Vec<Vec<mate_netlist::NetId>> = ffs
+        .windows(2)
+        .map(<[mate_netlist::NetId]>::to_vec)
+        .collect();
 
     eprintln!(
         "searching 2-bit MATEs for {} adjacent pairs ...",

@@ -90,8 +90,8 @@ proptest! {
         prop_assert_eq!(word.matrix, scalar.matrix);
         prop_assert_eq!(word.triggers, scalar.triggers);
         prop_assert_eq!(word.effective, scalar.effective);
-        prop_assert_eq!(word.avg_inputs, scalar.avg_inputs);
-        prop_assert_eq!(word.std_inputs, scalar.std_inputs);
+        prop_assert_eq!(word.avg_inputs.to_bits(), scalar.avg_inputs.to_bits());
+        prop_assert_eq!(word.std_inputs.to_bits(), scalar.std_inputs.to_bits());
     }
 
     /// Every lane-block width of the evaluate kernel — 64-lane words, 256-
@@ -135,7 +135,7 @@ proptest! {
         let inputs = netlist.inputs().to_vec();
         let mut harness = StimulusHarness::new(netlist, topo);
         for (i, input) in inputs.into_iter().enumerate() {
-            let values: Vec<bool> = (0..cycles + 1)
+            let values: Vec<bool> = (0..=cycles)
                 .map(|c| mix(seed, 500 + i as u64, c as u64) & 1 == 1)
                 .collect();
             harness = harness.drive(input, values);

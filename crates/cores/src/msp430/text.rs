@@ -322,7 +322,7 @@ mod tests {
         assert!(parse_asm("    mov 2(r4, r5\n")
             .unwrap_err()
             .message
-            .contains(")"));
+            .contains(')'));
         assert!(parse_asm("    jmp away\n")
             .unwrap_err()
             .message

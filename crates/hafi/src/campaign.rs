@@ -11,7 +11,6 @@ use std::fmt;
 use mate_netlist::{LaneBlock, MateError, NetId, Netlist, Topology, B256, B512};
 use mate_sim::{BlockSimulator, DeltaSimulator, TransposedTrace, WaveTrace};
 
-use crate::collapse::{CampaignPruning, PruningStats};
 use crate::harness::DesignHarness;
 use crate::space::{FaultPoint, FaultSpace};
 
@@ -103,22 +102,7 @@ pub fn inject(
     golden: &GoldenRun,
     point: FaultPoint,
 ) -> Result<FaultEffect, MateError> {
-    let horizon = golden.trace.num_cycles();
-    if point.cycle >= horizon {
-        return Err(MateError::campaign(format!(
-            "injection cycle {} beyond golden trace of {horizon} cycles",
-            point.cycle
-        )));
-    }
-    let mut tb = harness.testbench();
-
-    // Advance fault-free to the injection cycle.
-    for _ in 0..point.cycle {
-        tb.step();
-    }
-    // Flip the victim flip-flop; its faulty value is live during this cycle.
-    tb.sim_mut().flip_ff(point.ff);
-    Ok(classify(&mut tb, golden, point.cycle))
+    inject_multi(harness, golden, std::slice::from_ref(&point))
 }
 
 /// Runs the remaining horizon and classifies the divergence from golden.
@@ -274,48 +258,16 @@ impl fmt::Display for CampaignEngine {
     }
 }
 
-/// Classifies a batch of fault points against `golden` with the default
-/// lane width — see [`classify_points_with`].
-///
-/// # Errors
-///
-/// Returns [`MateError::Campaign`] if any injection cycle lies beyond the
-/// golden trace.
-pub fn classify_points(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    points: &[FaultPoint],
-) -> Result<Vec<FaultEffect>, MateError> {
-    classify_points_with(harness, golden, points, LaneWidth::default())
-}
-
-/// Classifies a batch of fault points against `golden` with the default
-/// engine — see [`classify_points_engine`].
-///
-/// # Errors
-///
-/// Returns [`MateError::Campaign`] if any injection cycle lies beyond the
-/// golden trace.
-pub fn classify_points_with(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    points: &[FaultPoint],
-    lanes: LaneWidth,
-) -> Result<Vec<FaultEffect>, MateError> {
-    classify_points_engine(harness, golden, points, lanes, CampaignEngine::default())
-}
-
 /// Classifies a batch of fault points against `golden`, choosing the
 /// fastest sound path the harness supports:
 ///
 /// 1. **Wide** — pure stimuli and only transparent devices
 ///    ([`mate_sim::Testbench::can_run_wide`]; the AVR and MSP430 memories
-///    qualify): up to [`LaneWidth::lanes`] fault points per injection
-///    cycle are packed into the lanes of a batched engine seeded directly
-///    from the golden trace at the injection cycle, then classified in
-///    lock-step with per-lane early retirement.  `engine` picks between
-///    the event-driven [`CampaignEngine::Differential`] default and the
-///    full-settle [`CampaignEngine::FullSettle`] reference.
+///    qualify): up to [`CampaignConfig::lanes`] fault points per injection
+///    cycle are packed into the lanes of the batched engine picked by
+///    [`CampaignConfig::engine`], seeded directly from the golden trace at
+///    the injection cycle, then classified in lock-step with per-lane early
+///    retirement.
 /// 2. **Checkpointed scalar** — the fallback for snapshotable devices that
 ///    fail the transparency check (e.g. one reading an internal net), with
 ///    pure stimuli: one incremental golden run captures a checkpoint at
@@ -323,133 +275,177 @@ pub fn classify_points_with(
 ///    of replaying the warm-up prefix.
 /// 3. **Scalar fallback** — anything else: one [`inject`] per point.
 ///
-/// All paths — every engine and lane width included — produce bit-identical
-/// [`FaultEffect`] classifications.  Results are returned in the order of
-/// `points`.
+/// The points are split into [`CampaignConfig::threads`] contiguous shards,
+/// one worker thread each (threads × lanes concurrent fault scenarios).
+/// Every path, engine, lane width and thread count produces bit-identical
+/// [`FaultEffect`] classifications, returned in the order of `points`.
 ///
 /// # Errors
 ///
 /// Returns [`MateError::Campaign`] if any injection cycle lies beyond the
 /// golden trace.
-pub fn classify_points_engine(
-    harness: &dyn DesignHarness,
+pub fn classify_points(
+    harness: &(dyn DesignHarness + Sync),
     golden: &GoldenRun,
     points: &[FaultPoint],
-    lanes: LaneWidth,
-    engine: CampaignEngine,
+    config: &CampaignConfig,
 ) -> Result<Vec<FaultEffect>, MateError> {
-    let horizon = golden.trace.num_cycles();
-    if let Some(p) = points.iter().find(|p| p.cycle >= horizon) {
-        return Err(MateError::campaign(format!(
-            "injection cycle {} beyond golden trace of {horizon} cycles",
-            p.cycle
-        )));
-    }
-    let engine = engine.resolve(harness.topology());
-    let probe = harness.testbench();
-    Ok(if probe.can_run_wide() {
-        match lanes {
-            LaneWidth::W64 => classify_points_wide_concrete::<u64>(harness, golden, points, engine),
-            LaneWidth::W256 => {
-                classify_points_wide_concrete::<B256>(harness, golden, points, engine)
-            }
-            LaneWidth::W512 => {
-                classify_points_wide_concrete::<B512>(harness, golden, points, engine)
-            }
-        }
-    } else if probe.can_checkpoint() {
-        classify_points_checkpoint(harness, golden, points)
-    } else {
-        let mut effects = Vec::with_capacity(points.len());
-        for &p in points {
-            effects.push(inject(harness, golden, p)?);
-        }
-        effects
-    })
+    classify_batch(harness, golden, points, config)
 }
 
-/// Classifies a batch of fault points with optional fault-space collapsing
-/// (see [`crate::collapse`]): the full-featured entry behind
-/// [`run_campaign_wide`] and [`crate::validate_mates`].
-///
-/// With [`CampaignPruning::Collapse`] on a wide-capable harness, points are
-/// first grouped into temporal equivalence classes over golden-trace
-/// cone-support fingerprints and one representative per class is probed for
-/// one cycle; only what the probe window cannot decide is simulated in
-/// full.  The returned [`PruningStats`] account for the saved work.  Every
-/// pruning mode, engine, lane width, and thread count produces bit-identical
-/// [`FaultEffect`] classifications; checkpointed and scalar harnesses
-/// cannot collapse (their per-point state is opaque to the delta prober)
-/// and report unpruned stats.
+/// Classifies a batch of simultaneous multi-bit SEU *sets* — one set per
+/// lane — against `golden`: the batched counterpart of [`inject_multi`],
+/// on exactly the paths, engines and shards of [`classify_points`].
+/// Results are returned in the order of `sets` and are bit-identical to
+/// one [`inject_multi`] per set.
 ///
 /// # Errors
 ///
-/// Returns [`MateError::Campaign`] if any injection cycle lies beyond the
-/// golden trace.
-pub fn classify_points_pruned(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    points: &[FaultPoint],
-    lanes: LaneWidth,
-    engine: CampaignEngine,
-    pruning: CampaignPruning,
-) -> Result<(Vec<FaultEffect>, PruningStats), MateError> {
-    let horizon = golden.trace.num_cycles();
-    if let Some(p) = points.iter().find(|p| p.cycle >= horizon) {
-        return Err(MateError::campaign(format!(
-            "injection cycle {} beyond golden trace of {horizon} cycles",
-            p.cycle
-        )));
-    }
-    if pruning == CampaignPruning::Collapse && harness.testbench().can_run_wide() {
-        let engine = engine.resolve(harness.topology());
-        Ok(crate::collapse::classify_points_collapse_width(
-            harness, golden, points, lanes, engine,
-        ))
-    } else {
-        let effects = classify_points_engine(harness, golden, points, lanes, engine)?;
-        let stats = PruningStats::unpruned(points.len());
-        Ok((effects, stats))
-    }
-}
-
-/// The wide path at one concrete lane width: dispatches a *resolved*
-/// engine ([`CampaignEngine::Auto`] defensively maps to differential).
-/// Shared by [`classify_points_engine`] and the collapsing fallback.
-pub(crate) fn classify_points_wide_concrete<B: LaneBlock>(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    points: &[FaultPoint],
-    engine: CampaignEngine,
-) -> Vec<FaultEffect> {
-    match engine {
-        CampaignEngine::FullSettle => classify_points_block::<B>(harness, golden, points),
-        CampaignEngine::Differential | CampaignEngine::Auto => {
-            classify_points_differential::<B>(harness, golden, points)
-        }
-    }
-}
-
-/// The wide multi-SEU path at one concrete lane width, shared by
-/// [`classify_multi_points`] and the collapsing fallback.
-pub(crate) fn classify_multi_wide_concrete<B: LaneBlock>(
-    harness: &dyn DesignHarness,
+/// Returns [`MateError::Campaign`] if any set is empty, mixes cycles, or
+/// lies beyond the golden trace.
+pub fn classify_multi_points(
+    harness: &(dyn DesignHarness + Sync),
     golden: &GoldenRun,
     sets: &[Vec<FaultPoint>],
-) -> Vec<FaultEffect> {
-    classify_multi_differential::<B>(harness, golden, sets)
+    config: &CampaignConfig,
+) -> Result<Vec<FaultEffect>, MateError> {
+    classify_batch(harness, golden, sets, config)
 }
 
-/// Per-net observation flags for the classification scans.  The bit
-/// positions match the accumulator indices of
-/// [`DeltaSimulator::scan_flagged`].
-pub(crate) const OBS_OUTPUT: u8 = 1;
-pub(crate) const OBS_STATE: u8 = 2;
-/// Flip-flop D-input nets: a nonzero delta here persists into the next
-/// cycle's state.  Used by the collapsing prober, not the retire loop.
-pub(crate) const OBS_NEXT: u8 = 4;
+/// One fault scenario of a batch: a single SEU or a simultaneous set.
+trait Scenario: Sync {
+    /// The upset flip-flops, all in one cycle.
+    fn flips(&self) -> &[FaultPoint];
 
-pub(crate) fn observed_flags(num_nets: usize, golden: &GoldenRun) -> Vec<u8> {
+    /// The injection cycle (of a set already checked by [`check_flips`]).
+    fn cycle(&self) -> usize {
+        self.flips()[0].cycle
+    }
+}
+
+impl Scenario for FaultPoint {
+    fn flips(&self) -> &[FaultPoint] {
+        std::slice::from_ref(self)
+    }
+}
+
+impl Scenario for Vec<FaultPoint> {
+    fn flips(&self) -> &[FaultPoint] {
+        self
+    }
+}
+
+/// Rejects an empty flip set, one that mixes cycles, or one beyond the
+/// golden trace.
+fn check_flips(flips: &[FaultPoint], golden: &GoldenRun) -> Result<(), MateError> {
+    let Some(first) = flips.first() else {
+        return Err(MateError::campaign("need at least one fault point"));
+    };
+    if flips.iter().any(|p| p.cycle != first.cycle) {
+        return Err(MateError::campaign(
+            "multi-bit upsets are simultaneous: all points must share one cycle",
+        ));
+    }
+    let horizon = golden.trace.num_cycles();
+    if first.cycle >= horizon {
+        return Err(MateError::campaign(format!(
+            "injection cycle {} beyond golden trace of {horizon} cycles",
+            first.cycle
+        )));
+    }
+    Ok(())
+}
+
+/// The campaign path a harness supports, fastest first.
+#[derive(Clone, Copy)]
+enum CampaignPath {
+    Wide,
+    Checkpoint,
+    Scalar,
+}
+
+/// The body of [`classify_points`] and [`classify_multi_points`]: checks
+/// every scenario, picks the path and engine once, and classifies
+/// contiguous shards on scoped worker threads.  Each shard writes its own
+/// slot, so the effects come back in scenario order for every thread
+/// count — including one, which spawns no thread at all.
+fn classify_batch<S: Scenario>(
+    harness: &(dyn DesignHarness + Sync),
+    golden: &GoldenRun,
+    items: &[S],
+    config: &CampaignConfig,
+) -> Result<Vec<FaultEffect>, MateError> {
+    for item in items {
+        check_flips(item.flips(), golden)?;
+    }
+    let probe = harness.testbench();
+    let path = if probe.can_run_wide() {
+        CampaignPath::Wide
+    } else if probe.can_checkpoint() {
+        CampaignPath::Checkpoint
+    } else {
+        CampaignPath::Scalar
+    };
+    drop(probe);
+    let engine = config.engine.resolve(harness.topology());
+    let lanes = config.lanes;
+    let run_shard = |shard: &[S]| match (path, engine, lanes) {
+        (CampaignPath::Wide, CampaignEngine::FullSettle, LaneWidth::W64) => {
+            classify_block::<u64, S>(harness, golden, shard)
+        }
+        (CampaignPath::Wide, CampaignEngine::FullSettle, LaneWidth::W256) => {
+            classify_block::<B256, S>(harness, golden, shard)
+        }
+        (CampaignPath::Wide, CampaignEngine::FullSettle, LaneWidth::W512) => {
+            classify_block::<B512, S>(harness, golden, shard)
+        }
+        (CampaignPath::Wide, _, LaneWidth::W64) => {
+            classify_differential::<u64, S>(harness, golden, shard)
+        }
+        (CampaignPath::Wide, _, LaneWidth::W256) => {
+            classify_differential::<B256, S>(harness, golden, shard)
+        }
+        (CampaignPath::Wide, _, LaneWidth::W512) => {
+            classify_differential::<B512, S>(harness, golden, shard)
+        }
+        (CampaignPath::Checkpoint, ..) => classify_checkpoint(harness, golden, shard),
+        (CampaignPath::Scalar, ..) => shard
+            .iter()
+            .map(|item| inject_flips(harness, golden, item.flips()))
+            .collect(),
+    };
+
+    let threads = effective_threads(config.threads, items.len());
+    if threads <= 1 {
+        return Ok(run_shard(items));
+    }
+    let chunk = items.len().div_ceil(threads);
+    let mut shards = vec![Vec::new(); items.len().div_ceil(chunk)];
+    let run_shard = &run_shard;
+    std::thread::scope(|scope| {
+        for (part, out) in items.chunks(chunk).zip(&mut shards) {
+            scope.spawn(move || *out = run_shard(part));
+        }
+    });
+    Ok(shards.concat())
+}
+
+/// Groups scenario indices by injection cycle, in cycle order.
+fn by_cycle<S: Scenario>(items: &[S]) -> BTreeMap<usize, Vec<usize>> {
+    let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for (idx, item) in items.iter().enumerate() {
+        groups.entry(item.cycle()).or_default().push(idx);
+    }
+    groups
+}
+
+/// Per-net observation flags for the differential classification scan.
+/// The bit positions match the accumulator indices of
+/// [`DeltaSimulator::scan_flagged`].
+const OBS_OUTPUT: u8 = 1;
+const OBS_STATE: u8 = 2;
+
+fn observed_flags(num_nets: usize, golden: &GoldenRun) -> Vec<u8> {
     let mut flags = vec![0u8; num_nets];
     for &net in &golden.output_nets {
         flags[net.index()] |= OBS_OUTPUT;
@@ -460,54 +456,9 @@ pub(crate) fn observed_flags(num_nets: usize, golden: &GoldenRun) -> Vec<u8> {
     flags
 }
 
-/// Per-cycle partition of the observed nets by their golden value, so the
-/// block classification loops need neither a per-net [`LaneBlock::splat`]
-/// nor a per-net golden bit probe: a lane diverges on a golden-one net iff
-/// its value bit is 0 (`diff |= !v`), on a golden-zero net iff it is 1
-/// (`diff |= v`).
-struct GoldenPartition {
-    out_ones: Vec<Vec<u32>>,
-    out_zeros: Vec<Vec<u32>>,
-    state_ones: Vec<Vec<u32>>,
-    state_zeros: Vec<Vec<u32>>,
-}
-
-impl GoldenPartition {
-    fn build(golden: &GoldenRun, transposed: &TransposedTrace) -> Self {
-        let horizon = golden.trace.num_cycles();
-        let mut p = Self {
-            out_ones: vec![Vec::new(); horizon],
-            out_zeros: vec![Vec::new(); horizon],
-            state_ones: vec![Vec::new(); horizon],
-            state_zeros: vec![Vec::new(); horizon],
-        };
-        for t in 0..horizon {
-            let view = transposed.cycle_view(t);
-            for &net in &golden.output_nets {
-                let bucket = if view.value(net.index()) {
-                    &mut p.out_ones[t]
-                } else {
-                    &mut p.out_zeros[t]
-                };
-                bucket.push(net.index() as u32);
-            }
-            for &net in &golden.state_nets {
-                let bucket = if view.value(net.index()) {
-                    &mut p.state_ones[t]
-                } else {
-                    &mut p.state_zeros[t]
-                };
-                bucket.push(net.index() as u32);
-            }
-        }
-        p
-    }
-}
-
-/// The block-lane engine behind [`classify_points_with`]: groups points by
-/// injection cycle, packs up to `B::WIDTH` of them into one lane-parallel
-/// run seeded from the golden trace, and compares every lane against golden
-/// with block XORs.
+/// The full-settle engine: groups scenarios by injection cycle, packs up to
+/// `B::WIDTH` of them into one lane-parallel run seeded from the golden
+/// trace, and compares every lane against golden with block XORs.
 ///
 /// Every primary input is driven from the golden trace each cycle.  That is
 /// exact because the wide path requires a harness whose devices are
@@ -519,34 +470,23 @@ impl GoldenPartition {
 /// decided — `OutputFailure` can no longer occur and the recorded
 /// convergence offset is final, exactly as the scalar classifier would
 /// conclude after running out the horizon.
-fn classify_points_block<B: LaneBlock>(
+fn classify_block<B: LaneBlock, S: Scenario>(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
-    points: &[FaultPoint],
+    items: &[S],
 ) -> Vec<FaultEffect> {
     let horizon = golden.trace.num_cycles();
     let inputs = harness.netlist().inputs();
     let mut wide: BlockSimulator<'_, B> =
         BlockSimulator::new(harness.netlist(), harness.topology());
-    // Golden comparisons are precomputed per cycle: the observed nets are
-    // partitioned by golden value once, outside the chunk loop, so the
-    // per-chunk classification is pure block ops — no per-net splat, no
-    // per-net trace probe.  (Splatting every observed net per cycle per
-    // chunk was what made the 256/512-lane backends slower than 64.)
-    let transposed = TransposedTrace::from_trace(&golden.trace);
-    let part = GoldenPartition::build(golden, &transposed);
-
-    let mut by_cycle: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (idx, p) in points.iter().enumerate() {
-        by_cycle.entry(p.cycle).or_default().push(idx);
-    }
-
-    let mut effects = vec![FaultEffect::Latent; points.len()];
-    for (&cycle, indices) in &by_cycle {
+    let mut effects = vec![FaultEffect::Latent; items.len()];
+    for (&cycle, indices) in &by_cycle(items) {
         for chunk in indices.chunks(B::WIDTH) {
             wide.load_from_trace(&golden.trace, cycle);
             for (lane, &idx) in chunk.iter().enumerate() {
-                wide.flip_ff(points[idx].ff, lane);
+                for point in items[idx].flips() {
+                    wide.flip_ff(point.ff, lane);
+                }
             }
             let mut active = B::low_lanes(chunk.len());
             for t in cycle..horizon {
@@ -555,14 +495,7 @@ fn classify_points_block<B: LaneBlock>(
                 }
                 wide.settle();
                 // Outputs first, mirroring the scalar classifier's priority.
-                let mut out_diff = B::ZERO;
-                for &net in &part.out_ones[t] {
-                    out_diff |= !wide.value_block(NetId::from_index(net as usize));
-                }
-                for &net in &part.out_zeros[t] {
-                    out_diff |= wide.value_block(NetId::from_index(net as usize));
-                }
-                let failed = out_diff & active;
+                let failed = diverged(&mut wide, &golden.trace, t, &golden.output_nets) & active;
                 if !failed.is_zero() {
                     failed.for_each_lane(|lane| {
                         effects[chunk[lane]] = FaultEffect::OutputFailure { after: t - cycle };
@@ -570,23 +503,11 @@ fn classify_points_block<B: LaneBlock>(
                     active &= !failed;
                 }
                 if t > cycle && !active.is_zero() {
-                    let mut state_diff = B::ZERO;
-                    for &net in &part.state_ones[t] {
-                        state_diff |= !wide.value_block(NetId::from_index(net as usize));
-                    }
-                    for &net in &part.state_zeros[t] {
-                        state_diff |= wide.value_block(NetId::from_index(net as usize));
-                    }
+                    let state_diff = diverged(&mut wide, &golden.trace, t, &golden.state_nets);
                     let converged = active & !state_diff;
                     if !converged.is_zero() {
-                        let after = t - cycle;
-                        converged.for_each_lane(|lane| {
-                            effects[chunk[lane]] = if after == 1 {
-                                FaultEffect::MaskedWithinOneCycle
-                            } else {
-                                FaultEffect::SilentRecovery { after }
-                            };
-                        });
+                        let effect = recovered(t - cycle);
+                        converged.for_each_lane(|lane| effects[chunk[lane]] = effect);
                         active &= !converged;
                     }
                 }
@@ -602,22 +523,57 @@ fn classify_points_block<B: LaneBlock>(
     effects
 }
 
-/// The event-driven engine behind [`classify_points_engine`]: like
-/// [`classify_points_block`] in grouping and retirement, but the chunk runs
-/// on a [`DeltaSimulator`] — in every live lane the stimuli and the
-/// transparent devices' responses equal the golden ones, so input deltas
-/// are identically zero and only the dirty fan-out frontier of each fault
-/// cone is ever re-evaluated.  The classification scan walks the
-/// simulator's nonzero-delta set rather than all observed nets: any net
-/// absent from it matches golden in every lane.
+/// The lanes whose value on any of `nets` differs from golden cycle `t`.
+/// The golden bit picks the comparison (`!v` on a golden one, `v` on a
+/// golden zero), so no per-net [`LaneBlock::splat`] is needed: splatting
+/// every observed net per cycle made the 256/512-lane blocks slower than
+/// 64.  The trace row of `t` is read in place, so nothing is precomputed
+/// per cycle of the horizon.
+fn diverged<B: LaneBlock>(
+    wide: &mut BlockSimulator<'_, B>,
+    trace: &WaveTrace,
+    t: usize,
+    nets: &[NetId],
+) -> B {
+    let row = trace.cycle_words(t);
+    let mut diff = B::ZERO;
+    for &net in nets {
+        let v = wide.value_block(net);
+        let i = net.index();
+        diff |= if row[i / 64] >> (i % 64) & 1 != 0 {
+            !v
+        } else {
+            v
+        };
+    }
+    diff
+}
+
+/// The effect of a lane whose state re-converged `after` cycles past the
+/// injection with no wrong output on the way.
+fn recovered(after: usize) -> FaultEffect {
+    if after == 1 {
+        FaultEffect::MaskedWithinOneCycle
+    } else {
+        FaultEffect::SilentRecovery { after }
+    }
+}
+
+/// The event-driven engine: like [`classify_block`] in grouping and
+/// retirement, but each chunk runs on a [`DeltaSimulator`] — in every live
+/// lane the stimuli and the transparent devices' responses equal the golden
+/// ones, so input deltas are identically zero and only the dirty fan-out
+/// frontier of each fault cone is ever re-evaluated.  The classification
+/// scan walks the simulator's nonzero-delta set rather than all observed
+/// nets: any net absent from it matches golden in every lane.
 ///
 /// Early retirement is sound for the same reason as in the full-settle
 /// engine; convergence here is simply the lane's bits vanishing from every
 /// delta, which the frontier detects without a state scan.
-fn classify_points_differential<B: LaneBlock>(
+fn classify_differential<B: LaneBlock, S: Scenario>(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
-    points: &[FaultPoint],
+    items: &[S],
 ) -> Vec<FaultEffect> {
     let horizon = golden.trace.num_cycles();
     let transposed = TransposedTrace::from_trace(&golden.trace);
@@ -625,99 +581,68 @@ fn classify_points_differential<B: LaneBlock>(
     let mut delta: DeltaSimulator<'_, B> =
         DeltaSimulator::new(harness.netlist(), harness.topology());
 
-    let mut by_cycle: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (idx, p) in points.iter().enumerate() {
-        by_cycle.entry(p.cycle).or_default().push(idx);
-    }
-
-    let mut effects = vec![FaultEffect::Latent; points.len()];
-    for (&cycle, indices) in &by_cycle {
+    let mut effects = vec![FaultEffect::Latent; items.len()];
+    for (&cycle, indices) in &by_cycle(items) {
         for chunk in indices.chunks(B::WIDTH) {
             delta.begin(cycle);
             for (lane, &idx) in chunk.iter().enumerate() {
-                delta.flip_ff(points[idx].ff, lane);
+                for point in items[idx].flips() {
+                    delta.flip_ff(point.ff, lane);
+                }
             }
-            retire_chunk_differential(
-                &mut delta,
-                &transposed,
-                &flags,
-                cycle,
-                horizon,
-                B::low_lanes(chunk.len()),
-                |lane, effect| effects[chunk[lane]] = effect,
-            );
+            let mut active = B::low_lanes(chunk.len());
+            for t in cycle..horizon {
+                delta.settle(&transposed);
+                let before = active;
+                // One scan of the (small) nonzero-delta set yields both
+                // divergence masks; every other net equals golden in all
+                // lanes.
+                let [out_diff, state_diff] = delta.scan_flagged(&flags);
+                // Outputs first, mirroring the scalar classifier's priority.
+                let failed = out_diff & active;
+                if !failed.is_zero() {
+                    failed.for_each_lane(|lane| {
+                        effects[chunk[lane]] = FaultEffect::OutputFailure { after: t - cycle };
+                    });
+                    active &= !failed;
+                }
+                if t > cycle && !active.is_zero() {
+                    let converged = active & !state_diff;
+                    if !converged.is_zero() {
+                        let effect = recovered(t - cycle);
+                        converged.for_each_lane(|lane| effects[chunk[lane]] = effect);
+                        active &= !converged;
+                    }
+                }
+                if active.is_zero() {
+                    break;
+                }
+                if active != before {
+                    // Retired lanes' deltas are dead weight (every
+                    // classification read is `& active`-masked): dropping
+                    // them shrinks the dirty frontier to the cones of the
+                    // undecided lanes, instead of dragging the classified
+                    // faults' cones to the horizon.
+                    delta.retain_lanes(active);
+                }
+                delta.tick();
+            }
+            // Lanes still active at the horizon are Latent, as initialized.
         }
     }
     effects
 }
 
-/// Runs one lane chunk of the differential engine from `cycle` to the
-/// horizon, calling `retire(lane, effect)` as lanes classify.  Lanes still
-/// active at the horizon are `Latent` and are *not* reported.
-fn retire_chunk_differential<B: LaneBlock>(
-    delta: &mut DeltaSimulator<'_, B>,
-    transposed: &TransposedTrace,
-    flags: &[u8],
-    cycle: usize,
-    horizon: usize,
-    mut active: B,
-    mut retire: impl FnMut(usize, FaultEffect),
-) {
-    for t in cycle..horizon {
-        delta.settle(transposed);
-        let before = active;
-        // One scan of the (small) nonzero-delta set yields both divergence
-        // masks; every other net equals golden in all lanes.
-        let [out_diff, state_diff, _] = delta.scan_flagged(flags);
-        // Outputs first, mirroring the scalar classifier's priority.
-        let failed = out_diff & active;
-        if !failed.is_zero() {
-            failed.for_each_lane(|lane| {
-                retire(lane, FaultEffect::OutputFailure { after: t - cycle });
-            });
-            active &= !failed;
-        }
-        if t > cycle && !active.is_zero() {
-            let converged = active & !state_diff;
-            if !converged.is_zero() {
-                let after = t - cycle;
-                converged.for_each_lane(|lane| {
-                    retire(
-                        lane,
-                        if after == 1 {
-                            FaultEffect::MaskedWithinOneCycle
-                        } else {
-                            FaultEffect::SilentRecovery { after }
-                        },
-                    );
-                });
-                active &= !converged;
-            }
-        }
-        if active.is_zero() {
-            break;
-        }
-        if active != before {
-            // Retired lanes' deltas are dead weight (every classification
-            // read is `& active`-masked): dropping them here shrinks the
-            // dirty frontier to the cones of the undecided lanes, instead
-            // of dragging the classified faults' cones to the horizon.
-            delta.retain_lanes(active);
-        }
-        delta.tick();
-    }
-}
-
-/// The checkpointed scalar engine behind [`classify_points`]: one
-/// incremental golden run captures a [`mate_sim::TestbenchCheckpoint`] at
-/// every distinct injection cycle, then each point restores its checkpoint
-/// into a reusable work testbench instead of replaying cycles `0..c`.
-fn classify_points_checkpoint(
+/// The checkpointed scalar path: one incremental golden run captures a
+/// [`mate_sim::TestbenchCheckpoint`] at every distinct injection cycle,
+/// then each scenario restores its checkpoint into a reusable work
+/// testbench instead of replaying cycles `0..c`.
+fn classify_checkpoint<S: Scenario>(
     harness: &dyn DesignHarness,
     golden: &GoldenRun,
-    points: &[FaultPoint],
+    items: &[S],
 ) -> Vec<FaultEffect> {
-    let needed: std::collections::BTreeSet<usize> = points.iter().map(|p| p.cycle).collect();
+    let needed: std::collections::BTreeSet<usize> = items.iter().map(Scenario::cycle).collect();
     let mut checkpoints = BTreeMap::new();
     if let Some(&last) = needed.iter().next_back() {
         let mut gtb = harness.testbench();
@@ -733,12 +658,14 @@ fn classify_points_checkpoint(
         }
     }
     let mut work = harness.testbench();
-    points
+    items
         .iter()
-        .map(|&p| {
-            work.restore(&checkpoints[&p.cycle]);
-            work.sim_mut().flip_ff(p.ff);
-            classify(&mut work, golden, p.cycle)
+        .map(|item| {
+            work.restore(&checkpoints[&item.cycle()]);
+            for point in item.flips() {
+                work.sim_mut().flip_ff(point.ff);
+            }
+            classify(&mut work, golden, item.cycle())
         })
         .collect()
 }
@@ -756,164 +683,27 @@ pub fn inject_multi(
     golden: &GoldenRun,
     points: &[FaultPoint],
 ) -> Result<FaultEffect, MateError> {
-    let Some(first) = points.first() else {
-        return Err(MateError::campaign("need at least one fault point"));
-    };
-    let cycle = first.cycle;
-    if points.iter().any(|p| p.cycle != cycle) {
-        return Err(MateError::campaign(
-            "multi-bit upsets are simultaneous: all points must share one cycle",
-        ));
-    }
-    let horizon = golden.trace.num_cycles();
-    if cycle >= horizon {
-        return Err(MateError::campaign(format!(
-            "injection cycle {cycle} beyond golden trace of {horizon} cycles"
-        )));
-    }
+    check_flips(points, golden)?;
+    Ok(inject_flips(harness, golden, points))
+}
+
+/// The scalar reference behind [`inject`] and [`inject_multi`], for a flip
+/// set already checked by [`check_flips`]: replays the golden run to the
+/// injection cycle, flips every point, and classifies the rest.
+fn inject_flips(
+    harness: &dyn DesignHarness,
+    golden: &GoldenRun,
+    flips: &[FaultPoint],
+) -> FaultEffect {
+    let cycle = flips[0].cycle;
     let mut tb = harness.testbench();
     for _ in 0..cycle {
         tb.step();
     }
-    for point in points {
+    for point in flips {
         tb.sim_mut().flip_ff(point.ff);
     }
-    Ok(classify(&mut tb, golden, cycle))
-}
-
-/// Classifies a batch of simultaneous multi-bit SEU *sets* — one set per
-/// lane — against `golden`: the batched counterpart of [`inject_multi`]
-/// for the multi-SEU search of `mate-core`.  Wide-capable harnesses run on
-/// the differential engine (up to [`LaneWidth::lanes`] whole sets per
-/// pass); anything else falls back to one scalar [`inject_multi`] per set.
-/// Results are returned in the order of `sets` and are bit-identical to
-/// the scalar path.
-///
-/// # Errors
-///
-/// Returns [`MateError::Campaign`] if any set is empty, mixes cycles, or
-/// lies beyond the golden trace.
-pub fn classify_multi_points(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    sets: &[Vec<FaultPoint>],
-    lanes: LaneWidth,
-) -> Result<Vec<FaultEffect>, MateError> {
-    let horizon = golden.trace.num_cycles();
-    for set in sets {
-        let Some(first) = set.first() else {
-            return Err(MateError::campaign("need at least one fault point"));
-        };
-        if set.iter().any(|p| p.cycle != first.cycle) {
-            return Err(MateError::campaign(
-                "multi-bit upsets are simultaneous: all points must share one cycle",
-            ));
-        }
-        if first.cycle >= horizon {
-            return Err(MateError::campaign(format!(
-                "injection cycle {} beyond golden trace of {horizon} cycles",
-                first.cycle
-            )));
-        }
-    }
-    if !harness.testbench().can_run_wide() {
-        return sets
-            .iter()
-            .map(|set| inject_multi(harness, golden, set))
-            .collect();
-    }
-    Ok(match lanes {
-        LaneWidth::W64 => classify_multi_wide_concrete::<u64>(harness, golden, sets),
-        LaneWidth::W256 => classify_multi_wide_concrete::<B256>(harness, golden, sets),
-        LaneWidth::W512 => classify_multi_wide_concrete::<B512>(harness, golden, sets),
-    })
-}
-
-/// Classifies simultaneous multi-SEU sets with optional fault-space
-/// collapsing: the multi-bit counterpart of [`classify_points_pruned`].
-/// Collapsing generalizes soundly — each set becomes one worklist item
-/// carrying its odd-parity flip set, the cone support unions the members'
-/// cones, and everything else is the single-SEU machinery unchanged.
-/// Bit-identical to [`classify_multi_points`] in every mode.
-///
-/// # Errors
-///
-/// Returns [`MateError::Campaign`] if any set is empty, mixes cycles, or
-/// lies beyond the golden trace.
-pub fn classify_multi_points_pruned(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    sets: &[Vec<FaultPoint>],
-    lanes: LaneWidth,
-    pruning: CampaignPruning,
-) -> Result<(Vec<FaultEffect>, PruningStats), MateError> {
-    if pruning == CampaignPruning::Off || !harness.testbench().can_run_wide() {
-        let effects = classify_multi_points(harness, golden, sets, lanes)?;
-        return Ok((effects, PruningStats::unpruned(sets.len())));
-    }
-    // Re-run the set validation of the unpruned path before collapsing.
-    let horizon = golden.trace.num_cycles();
-    for set in sets {
-        let Some(first) = set.first() else {
-            return Err(MateError::campaign("need at least one fault point"));
-        };
-        if set.iter().any(|p| p.cycle != first.cycle) {
-            return Err(MateError::campaign(
-                "multi-bit upsets are simultaneous: all points must share one cycle",
-            ));
-        }
-        if first.cycle >= horizon {
-            return Err(MateError::campaign(format!(
-                "injection cycle {} beyond golden trace of {horizon} cycles",
-                first.cycle
-            )));
-        }
-    }
-    Ok(crate::collapse::classify_multi_collapse_width(
-        harness, golden, sets, lanes,
-    ))
-}
-
-/// The lane-parallel body of [`classify_multi_points`]: identical chunking
-/// to [`classify_points_differential`], except each lane carries *all*
-/// flips of its set.
-fn classify_multi_differential<B: LaneBlock>(
-    harness: &dyn DesignHarness,
-    golden: &GoldenRun,
-    sets: &[Vec<FaultPoint>],
-) -> Vec<FaultEffect> {
-    let horizon = golden.trace.num_cycles();
-    let transposed = TransposedTrace::from_trace(&golden.trace);
-    let flags = observed_flags(harness.netlist().num_nets(), golden);
-    let mut delta: DeltaSimulator<'_, B> =
-        DeltaSimulator::new(harness.netlist(), harness.topology());
-
-    let mut by_cycle: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (idx, set) in sets.iter().enumerate() {
-        by_cycle.entry(set[0].cycle).or_default().push(idx);
-    }
-
-    let mut effects = vec![FaultEffect::Latent; sets.len()];
-    for (&cycle, indices) in &by_cycle {
-        for chunk in indices.chunks(B::WIDTH) {
-            delta.begin(cycle);
-            for (lane, &idx) in chunk.iter().enumerate() {
-                for point in &sets[idx] {
-                    delta.flip_ff(point.ff, lane);
-                }
-            }
-            retire_chunk_differential(
-                &mut delta,
-                &transposed,
-                &flags,
-                cycle,
-                horizon,
-                B::low_lanes(chunk.len()),
-                |lane, effect| effects[chunk[lane]] = effect,
-            );
-        }
-    }
-    effects
+    classify(&mut tb, golden, cycle)
 }
 
 /// Injects an upset that *holds* for `hold_cycles` cycles: the flip-flop is
@@ -997,7 +787,6 @@ pub fn inject_persistent(
         None => FaultEffect::Latent,
     })
 }
-
 /// Campaign parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct CampaignConfig {
@@ -1007,9 +796,9 @@ pub struct CampaignConfig {
     pub sample: Option<usize>,
     /// Seed for sampling.
     pub seed: u64,
-    /// Worker threads for [`run_campaign_wide`]; `0` uses all available
-    /// cores (the [`crate::SearchConfig`]-style convention).  Results are
-    /// bit-identical for every thread count.
+    /// Worker threads for [`classify_points`] and [`classify_multi_points`];
+    /// `0` uses all available cores (the `mate::SearchConfig`
+    /// convention).  Results are bit-identical for every thread count.
     pub threads: usize,
     /// Lane width of the batched engine (scenarios per simulation pass).
     /// Results are bit-identical for every width.
@@ -1017,10 +806,6 @@ pub struct CampaignConfig {
     /// Which batched engine classifies wide-capable workloads.  Results
     /// are bit-identical for every choice.
     pub engine: CampaignEngine,
-    /// Whether to collapse temporally equivalent fault points before
-    /// simulating (see [`crate::collapse`]).  Results are bit-identical
-    /// for both modes.
-    pub pruning: CampaignPruning,
 }
 
 impl Default for CampaignConfig {
@@ -1032,7 +817,35 @@ impl Default for CampaignConfig {
             threads: 0,
             lanes: LaneWidth::default(),
             engine: CampaignEngine::default(),
-            pruning: CampaignPruning::default(),
+        }
+    }
+}
+
+/// Work accounting of a campaign: every point is simulated individually,
+/// so `fallback == points` and the other counters are zero.  It stays only
+/// because the end-to-end benchmark (`e2ebench/`) reads these fields, and
+/// goes with that benchmark's next change.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PruningStats {
+    /// Fault points (or multi-SEU sets) fed to the classifier.
+    pub points: usize,
+    /// Always 0.
+    pub classes: usize,
+    /// Always 0.
+    pub probes: usize,
+    /// Always 0.
+    pub skipped: usize,
+    /// Points individually simulated: all of them.
+    pub fallback: usize,
+}
+
+impl PruningStats {
+    /// Stats for a run that simulated each of `points` individually.
+    pub fn unpruned(points: usize) -> Self {
+        Self {
+            points,
+            fallback: points,
+            ..Self::default()
         }
     }
 }
@@ -1042,9 +855,7 @@ impl Default for CampaignConfig {
 pub struct CampaignResult {
     /// Every injected point with its classified effect.
     pub records: Vec<(FaultPoint, FaultEffect)>,
-    /// Collapsing work accounting, summed over thread shards.  Diagnostic
-    /// only — the records are bit-identical whatever it says — and
-    /// therefore not part of any artifact encoding.
+    /// Work accounting; not part of any artifact encoding.
     pub pruning: PruningStats,
 }
 
@@ -1103,20 +914,28 @@ pub fn run_campaign(
     // One extra golden cycle so an injection at the last campaign cycle
     // still has a `t+1` state to be judged against.
     let golden = golden_run(harness, config.cycles + 1);
+    let points = campaign_points(space, config);
+    let mut records = Vec::with_capacity(points.len());
+    for point in points {
+        records.push((point, inject(harness, &golden, point)?));
+    }
+    Ok(CampaignResult {
+        pruning: PruningStats::unpruned(records.len()),
+        records,
+    })
+}
+
+/// The campaign's points: all of `space` or a seeded sample, restricted to
+/// the first [`CampaignConfig::cycles`] cycles.
+fn campaign_points(space: &FaultSpace, config: &CampaignConfig) -> Vec<FaultPoint> {
     let points: Vec<FaultPoint> = match config.sample {
         Some(count) => space.sample(count, config.seed),
         None => space.iter().collect(),
     };
-    let mut result = CampaignResult::default();
-    for point in points {
-        if point.cycle >= config.cycles {
-            continue;
-        }
-        let effect = inject(harness, &golden, point)?;
-        result.records.push((point, effect));
-    }
-    result.pruning = PruningStats::unpruned(result.records.len());
-    Ok(result)
+    points
+        .into_iter()
+        .filter(|p| p.cycle < config.cycles)
+        .collect()
 }
 
 /// Resolves a `threads` setting (`0` = all cores) against the work size.
@@ -1130,16 +949,10 @@ fn effective_threads(threads: usize, points: usize) -> usize {
 }
 
 /// Runs a full (or sampled) injection campaign over `space` on the batched
-/// engine selected by [`CampaignConfig::engine`]: identical records to
-/// [`run_campaign`], at up to [`CampaignConfig::lanes`] fault scenarios
-/// per simulation via [`classify_points_engine`], sharded over
-/// [`CampaignConfig::threads`] worker threads (threads × lanes concurrent
-/// fault scenarios).
+/// paths of [`classify_points`]: records identical to [`run_campaign`],
+/// sharded over [`CampaignConfig::threads`] worker threads at up to
+/// [`CampaignConfig::lanes`] fault scenarios per simulation.
 ///
-/// Each thread classifies one contiguous chunk of the point list into its
-/// slice of the result buffer, so the records come back in the original
-/// point order and are bit-identical for every thread count — including the
-/// single-threaded path, which skips thread spawning entirely.
 /// # Errors
 ///
 /// Returns [`MateError::Campaign`] when an injection is invalid.
@@ -1149,52 +962,11 @@ pub fn run_campaign_wide(
     config: &CampaignConfig,
 ) -> Result<CampaignResult, MateError> {
     let golden = golden_run(harness, config.cycles + 1);
-    let points: Vec<FaultPoint> = match config.sample {
-        Some(count) => space.sample(count, config.seed),
-        None => space.iter().collect(),
-    }
-    .into_iter()
-    .filter(|p| p.cycle < config.cycles)
-    .collect();
-    let threads = effective_threads(config.threads, points.len());
-    let (effects, pruning) = if threads <= 1 {
-        classify_points_pruned(
-            harness,
-            &golden,
-            &points,
-            config.lanes,
-            config.engine,
-            config.pruning,
-        )?
-    } else {
-        let chunk = points.len().div_ceil(threads);
-        let mut shards: Vec<Result<(Vec<FaultEffect>, PruningStats), MateError>> = points
-            .chunks(chunk)
-            .map(|_| Ok(Default::default()))
-            .collect();
-        let golden = &golden;
-        let lanes = config.lanes;
-        let engine = config.engine;
-        let mode = config.pruning;
-        std::thread::scope(|scope| {
-            for (pts, out) in points.chunks(chunk).zip(shards.iter_mut()) {
-                scope.spawn(move || {
-                    *out = classify_points_pruned(harness, golden, pts, lanes, engine, mode);
-                });
-            }
-        });
-        let mut effects = Vec::with_capacity(points.len());
-        let mut pruning = PruningStats::default();
-        for shard in shards {
-            let (shard_effects, shard_stats) = shard?;
-            effects.extend(shard_effects);
-            pruning.absorb(&shard_stats);
-        }
-        (effects, pruning)
-    };
+    let points = campaign_points(space, config);
+    let effects = classify_points(harness, &golden, &points, config)?;
     Ok(CampaignResult {
+        pruning: PruningStats::unpruned(points.len()),
         records: points.into_iter().zip(effects).collect(),
-        pruning,
     })
 }
 
@@ -1303,7 +1075,10 @@ mod tests {
         let total: usize = histogram.values().sum();
         assert_eq!(total, result.len());
         // TMR masks every single-replica fault.
-        assert_eq!(result.masked_one_cycle_fraction(), 1.0);
+        assert_eq!(
+            result.masked_one_cycle_fraction().to_bits(),
+            1.0f64.to_bits()
+        );
     }
 
     #[test]
@@ -1342,7 +1117,6 @@ mod tests {
             threads: 1,
             lanes: LaneWidth::W64,
             engine: CampaignEngine::default(),
-            pruning: CampaignPruning::default(),
         };
         let single = run_campaign_wide(&harness, &space, &base).unwrap();
         for threads in [0usize, 2, 4, 7, 1000] {
@@ -1366,29 +1140,10 @@ mod tests {
     }
 
     #[test]
-    fn lane_widths_match_scalar_reference() {
-        // The block engines must classify bit-identically to the scalar
-        // `inject` path, including partially filled tail blocks.
-        let (n, topo) = counter(5);
-        let en = n.find_net("en").unwrap();
-        let harness = StimulusHarness::new(n, topo).drive(en, vec![true, true, false]);
-        let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), 20);
-        let golden = golden_run(&harness, 21);
-        let points: Vec<FaultPoint> = space.iter().collect();
-        let scalar: Vec<FaultEffect> = points
-            .iter()
-            .map(|&p| inject(&harness, &golden, p).unwrap())
-            .collect();
-        for lanes in LaneWidth::all() {
-            let block = classify_points_with(&harness, &golden, &points, lanes).unwrap();
-            assert_eq!(scalar, block, "{lanes} lanes");
-        }
-    }
-
-    #[test]
     fn engines_match_scalar_reference() {
         // Both batched engines classify bit-identically to the scalar
-        // `inject` path across every lane width.
+        // `inject` path across every lane width and thread count,
+        // including partially filled tail blocks.
         let (n, topo) = counter(5);
         let en = n.find_net("en").unwrap();
         let harness = StimulusHarness::new(n, topo).drive(en, vec![true, true, false]);
@@ -1401,9 +1156,19 @@ mod tests {
             .collect();
         for engine in CampaignEngine::all() {
             for lanes in LaneWidth::all() {
-                let batched =
-                    classify_points_engine(&harness, &golden, &points, lanes, engine).unwrap();
-                assert_eq!(scalar, batched, "{engine} engine, {lanes} lanes");
+                for threads in [1, 2] {
+                    let config = CampaignConfig {
+                        threads,
+                        lanes,
+                        engine,
+                        ..CampaignConfig::default()
+                    };
+                    let batched = classify_points(&harness, &golden, &points, &config).unwrap();
+                    assert_eq!(
+                        scalar, batched,
+                        "{engine}, {lanes} lanes, {threads} threads"
+                    );
+                }
             }
         }
     }
@@ -1431,8 +1196,8 @@ mod tests {
                     &harness,
                     &space,
                     &CampaignConfig {
-                        engine,
                         threads,
+                        engine,
                         ..base
                     },
                 )
@@ -1475,9 +1240,16 @@ mod tests {
             .iter()
             .map(|s| inject_multi(&harness, &golden, s).unwrap())
             .collect();
-        for lanes in LaneWidth::all() {
-            let batched = classify_multi_points(&harness, &golden, &sets, lanes).unwrap();
-            assert_eq!(scalar, batched, "{lanes} lanes");
+        for engine in CampaignEngine::all() {
+            for lanes in LaneWidth::all() {
+                let config = CampaignConfig {
+                    lanes,
+                    engine,
+                    ..CampaignConfig::default()
+                };
+                let batched = classify_multi_points(&harness, &golden, &sets, &config).unwrap();
+                assert_eq!(scalar, batched, "{engine} engine, {lanes} lanes");
+            }
         }
     }
 
@@ -1490,12 +1262,14 @@ mod tests {
         let ff = harness.topology().seq_cells()[0];
         let wire = harness.netlist().cell(ff).output();
         let p = |cycle| FaultPoint { ff, wire, cycle };
+        let config = CampaignConfig::default();
         let empty: Vec<Vec<FaultPoint>> = vec![vec![]];
-        assert!(classify_multi_points(&harness, &golden, &empty, LaneWidth::W64).is_err());
+        assert!(classify_multi_points(&harness, &golden, &empty, &config).is_err());
         let mixed = vec![vec![p(1), p(2)]];
-        assert!(classify_multi_points(&harness, &golden, &mixed, LaneWidth::W64).is_err());
+        assert!(classify_multi_points(&harness, &golden, &mixed, &config).is_err());
         let beyond = vec![vec![p(99)]];
-        assert!(classify_multi_points(&harness, &golden, &beyond, LaneWidth::W64).is_err());
+        assert!(classify_multi_points(&harness, &golden, &beyond, &config).is_err());
+        assert!(classify_points(&harness, &golden, &[p(5)], &config).is_err());
     }
 
     #[test]
@@ -1561,6 +1335,6 @@ mod tests {
         assert!(FaultEffect::MaskedWithinOneCycle.is_masked_one_cycle());
         assert!(FaultEffect::Latent.is_silent());
         assert!(!FaultEffect::OutputFailure { after: 2 }.is_silent());
-        assert!(format!("{}", FaultEffect::SilentRecovery { after: 3 }).contains("3"));
+        assert!(format!("{}", FaultEffect::SilentRecovery { after: 3 }).contains('3'));
     }
 }

@@ -1,5 +1,5 @@
 //! The batched campaign engines must be pure performance changes: every
-//! path through [`classify_points_engine`] — differential, full-settle,
+//! path through [`classify_points`] — differential, full-settle,
 //! checkpointed scalar, and the scalar fallback — at every lane width and
 //! thread count, has to produce classifications bit-identical to one
 //! [`inject`] call per fault point, on random netlists and on the AVR and
@@ -8,9 +8,8 @@
 use proptest::prelude::*;
 
 use mate_hafi::{
-    classify_multi_points, classify_multi_points_pruned, classify_points, classify_points_engine,
-    classify_points_pruned, golden_run, inject, inject_multi, run_campaign, run_campaign_wide,
-    CampaignConfig, CampaignEngine, CampaignPruning, DesignHarness, FaultPoint, FaultSpace,
+    classify_multi_points, classify_points, golden_run, inject, inject_multi, run_campaign,
+    run_campaign_wide, CampaignConfig, CampaignEngine, DesignHarness, FaultPoint, FaultSpace,
     LaneWidth, StimulusHarness,
 };
 use mate_netlist::random::{random_circuit, RandomCircuitConfig};
@@ -51,7 +50,8 @@ proptest! {
         let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
         let points: Vec<FaultPoint> = space.iter().collect();
 
-        let batched = classify_points(&harness, &golden, &points).unwrap();
+        let batched =
+            classify_points(&harness, &golden, &points, &CampaignConfig::default()).unwrap();
         for (&point, wide_effect) in points.iter().zip(&batched) {
             let scalar_effect = inject(&harness, &golden, point).unwrap();
             prop_assert_eq!(
@@ -95,8 +95,8 @@ proptest! {
             .collect();
         for lanes in LaneWidth::all() {
             for engine in CampaignEngine::all() {
-                let batched =
-                    classify_points_engine(&harness, &golden, &points, lanes, engine).unwrap();
+                let config = CampaignConfig { threads: 1, lanes, engine, ..CampaignConfig::default() };
+                let batched = classify_points(&harness, &golden, &points, &config).unwrap();
                 prop_assert_eq!(
                     &scalar, &batched,
                     "seed {} {} engine {} lanes", seed, engine, lanes
@@ -121,7 +121,6 @@ proptest! {
             threads: 1,
             lanes: LaneWidth::W64,
             engine: CampaignEngine::FullSettle,
-            pruning: CampaignPruning::Off,
         };
         let reference = run_campaign_wide(&harness, &space, &base).unwrap();
         for engine in CampaignEngine::all() {
@@ -141,9 +140,10 @@ proptest! {
 
     /// Batched multi-SEU sets (one whole set per lane) classify exactly
     /// like one scalar `inject_multi` per set — the `core/src/multi.rs`
-    /// fault model on the differential engine.
+    /// fault model — on both engines at every lane width and thread count,
+    /// including duplicated points inside a set (whose flips cancel).
     #[test]
-    fn multi_seu_sets_match_scalar_inject_multi(seed in 0u64..5_000) {
+    fn multi_seu_sets_match_scalar_inject_multi(seed in 0u64..5_000, threads in 1usize..4) {
         let cfg = RandomCircuitConfig { inputs: 3, ffs: 7, gates: 24, outputs: 2 };
         let cycles = 10;
         let harness = harness_for(seed.wrapping_add(23), cfg, cycles + 1);
@@ -167,115 +167,6 @@ proptest! {
             }
             if let Some(&first) = in_cycle.first() {
                 sets.push(vec![first]);
-            }
-        }
-        let scalar: Vec<_> = sets
-            .iter()
-            .map(|s| inject_multi(&harness, &golden, s).unwrap())
-            .collect();
-        for lanes in LaneWidth::all() {
-            let batched = classify_multi_points(&harness, &golden, &sets, lanes).unwrap();
-            prop_assert_eq!(&scalar, &batched, "seed {} {} lanes", seed, lanes);
-        }
-    }
-
-    /// Fault-space collapsing is invisible in the records: the pruned
-    /// classification is bit-identical to the unpruned one across engines ×
-    /// lane widths on the exhaustive fault space, and the stats add up.
-    #[test]
-    fn pruned_classification_matches_unpruned(seed in 0u64..5_000) {
-        let cfg = RandomCircuitConfig { inputs: 3, ffs: 8, gates: 28, outputs: 2 };
-        let cycles = 12;
-        let harness = harness_for(seed.wrapping_add(211), cfg, cycles + 1);
-        prop_assert!(harness.testbench().can_run_wide());
-
-        let golden = golden_run(&harness, cycles + 1);
-        let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
-        let points: Vec<FaultPoint> = space.iter().collect();
-        let scalar: Vec<_> = points
-            .iter()
-            .map(|&p| inject(&harness, &golden, p).unwrap())
-            .collect();
-        for lanes in LaneWidth::all() {
-            for engine in CampaignEngine::all() {
-                let (unpruned, off_stats) = classify_points_pruned(
-                    &harness, &golden, &points, lanes, engine, CampaignPruning::Off,
-                ).unwrap();
-                let (pruned, stats) = classify_points_pruned(
-                    &harness, &golden, &points, lanes, engine, CampaignPruning::Collapse,
-                ).unwrap();
-                prop_assert_eq!(&scalar, &unpruned, "off: seed {seed} {engine} {lanes}");
-                prop_assert_eq!(
-                    &scalar, &pruned,
-                    "collapse: seed {} {} engine {} lanes", seed, engine, lanes
-                );
-                prop_assert_eq!(off_stats.skipped, 0);
-                prop_assert_eq!(off_stats.fallback, points.len());
-                prop_assert_eq!(stats.points, points.len());
-                prop_assert_eq!(stats.skipped + stats.fallback, stats.points);
-                prop_assert!(stats.classes <= stats.points);
-            }
-        }
-    }
-
-    /// Collapsing under thread sharding: any thread count × pruning mode
-    /// reproduces the single-threaded unpruned records.
-    #[test]
-    fn pruned_campaign_matches_across_threads(seed in 0u64..5_000, threads in 2usize..5) {
-        let cfg = RandomCircuitConfig { inputs: 3, ffs: 6, gates: 22, outputs: 2 };
-        let cycles = 10;
-        let harness = harness_for(seed.wrapping_add(307), cfg, cycles + 1);
-        let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
-        let base = CampaignConfig {
-            cycles,
-            sample: Some(30),
-            seed,
-            threads: 1,
-            lanes: LaneWidth::W64,
-            engine: CampaignEngine::FullSettle,
-            pruning: CampaignPruning::Off,
-        };
-        let reference = run_campaign_wide(&harness, &space, &base).unwrap();
-        for pruning in CampaignPruning::all() {
-            for engine in CampaignEngine::all() {
-                for t in [1, threads] {
-                    let run = run_campaign_wide(
-                        &harness,
-                        &space,
-                        &CampaignConfig { threads: t, engine, pruning, ..base },
-                    ).unwrap();
-                    prop_assert_eq!(
-                        &reference.records, &run.records,
-                        "{} pruning {} engine {} threads", pruning, engine, t
-                    );
-                    prop_assert_eq!(run.pruning.points, run.records.len());
-                }
-            }
-        }
-    }
-
-    /// Multi-SEU collapsing generalizes soundly: pruned multi-set
-    /// classification is bit-identical to scalar `inject_multi`, including
-    /// duplicated points inside a set (whose flips cancel in pairs).
-    #[test]
-    fn pruned_multi_seu_sets_match_scalar(seed in 0u64..5_000) {
-        let cfg = RandomCircuitConfig { inputs: 3, ffs: 7, gates: 24, outputs: 2 };
-        let cycles = 10;
-        let harness = harness_for(seed.wrapping_add(409), cfg, cycles + 1);
-        prop_assert!(harness.testbench().can_run_wide());
-
-        let golden = golden_run(&harness, cycles + 1);
-        let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), cycles);
-        let points: Vec<FaultPoint> = space.iter().collect();
-        let mut sets: Vec<Vec<FaultPoint>> = Vec::new();
-        for cycle in 0..cycles {
-            let in_cycle: Vec<FaultPoint> =
-                points.iter().copied().filter(|p| p.cycle == cycle).collect();
-            for pair in in_cycle.windows(2) {
-                sets.push(pair.to_vec());
-            }
-            if let Some(&first) = in_cycle.first() {
-                sets.push(vec![first]);
                 // A double flip of one flip-flop cancels to a no-op set.
                 sets.push(vec![first, first]);
             }
@@ -284,16 +175,14 @@ proptest! {
             .iter()
             .map(|s| inject_multi(&harness, &golden, s).unwrap())
             .collect();
-        for lanes in LaneWidth::all() {
-            for pruning in CampaignPruning::all() {
-                let (batched, stats) =
-                    classify_multi_points_pruned(&harness, &golden, &sets, lanes, pruning)
-                        .unwrap();
+        for engine in CampaignEngine::all() {
+            for lanes in LaneWidth::all() {
+                let config = CampaignConfig { threads, lanes, engine, ..CampaignConfig::default() };
+                let batched = classify_multi_points(&harness, &golden, &sets, &config).unwrap();
                 prop_assert_eq!(
                     &scalar, &batched,
-                    "seed {} {} lanes {} pruning", seed, lanes, pruning
+                    "seed {} {} engine {} lanes {} threads", seed, engine, lanes, threads
                 );
-                prop_assert_eq!(stats.points, sets.len());
             }
         }
     }
@@ -311,8 +200,8 @@ mod cores {
     const CYCLES: usize = 120;
     const SAMPLE: usize = 64;
 
-    /// Every engine × lane width × thread count × pruning mode returns the
-    /// records of one scalar `inject` per point.
+    /// Every engine × lane width × thread count returns the records of one
+    /// scalar `inject` per point.
     fn assert_wide_matches_scalar(harness: &(dyn DesignHarness + Sync)) {
         assert!(
             harness.testbench().can_run_wide(),
@@ -335,28 +224,26 @@ mod cores {
         for engine in CampaignEngine::all() {
             for lanes in LaneWidth::all() {
                 for threads in [1, 2] {
-                    for pruning in CampaignPruning::all() {
-                        let config = CampaignConfig {
-                            threads,
-                            lanes,
-                            engine,
-                            pruning,
-                            ..base
-                        };
-                        let run = run_campaign_wide(harness, &space, &config).unwrap();
-                        assert_eq!(
-                            run.records, scalar.records,
-                            "{engine} engine, {lanes} lanes, {threads} threads, {pruning} pruning"
-                        );
-                    }
+                    let config = CampaignConfig {
+                        threads,
+                        lanes,
+                        engine,
+                        ..base
+                    };
+                    let run = run_campaign_wide(harness, &space, &config).unwrap();
+                    assert_eq!(
+                        run.records, scalar.records,
+                        "{engine} engine, {lanes} lanes, {threads} threads"
+                    );
                 }
             }
         }
     }
 
     /// Simultaneous pairs and triples of upsets through the batched
-    /// multi-SEU path match `inject_multi` at every width and pruning mode.
-    fn assert_multi_matches_scalar(harness: &dyn DesignHarness) {
+    /// multi-SEU path match `inject_multi` on every engine × lane width ×
+    /// thread count.
+    fn assert_multi_matches_scalar(harness: &(dyn DesignHarness + Sync)) {
         let golden = golden_run(harness, CYCLES + 1);
         let ffs = harness.topology().seq_cells();
         let sets: Vec<Vec<FaultPoint>> = (0..24usize)
@@ -378,13 +265,21 @@ mod cores {
             .iter()
             .map(|set| inject_multi(harness, &golden, set).unwrap())
             .collect();
-        for lanes in LaneWidth::all() {
-            let batched = classify_multi_points(harness, &golden, &sets, lanes).unwrap();
-            assert_eq!(scalar, batched, "{lanes} lanes");
-            for pruning in CampaignPruning::all() {
-                let (pruned, _) =
-                    classify_multi_points_pruned(harness, &golden, &sets, lanes, pruning).unwrap();
-                assert_eq!(scalar, pruned, "{lanes} lanes, {pruning} pruning");
+        for engine in CampaignEngine::all() {
+            for lanes in LaneWidth::all() {
+                for threads in [1, 2] {
+                    let config = CampaignConfig {
+                        threads,
+                        lanes,
+                        engine,
+                        ..CampaignConfig::default()
+                    };
+                    let batched = classify_multi_points(harness, &golden, &sets, &config).unwrap();
+                    assert_eq!(
+                        scalar, batched,
+                        "{engine} engine, {lanes} lanes, {threads} threads"
+                    );
+                }
             }
         }
     }
@@ -484,14 +379,22 @@ mod cores {
         let golden = golden_run(&harness, 81);
         let space = FaultSpace::all_ffs(harness.netlist(), harness.topology(), 80);
         let points = space.sample(48, 42);
-        let batched = classify_points(&harness, &golden, &points).unwrap();
-        for (&point, checkpointed) in points.iter().zip(&batched) {
-            let scalar = inject(&harness, &golden, point).unwrap();
-            assert_eq!(
-                *checkpointed, scalar,
-                "ff {:?} cycle {}",
-                point.ff, point.cycle
-            );
+        for threads in [1, 2] {
+            let config = CampaignConfig {
+                threads,
+                ..CampaignConfig::default()
+            };
+            let batched = classify_points(&harness, &golden, &points, &config).unwrap();
+            for (&point, checkpointed) in points.iter().zip(&batched) {
+                let scalar = inject(&harness, &golden, point).unwrap();
+                assert_eq!(
+                    *checkpointed, scalar,
+                    "ff {:?} cycle {}, {threads} threads",
+                    point.ff, point.cycle
+                );
+            }
         }
+        // Multi-bit sets take the same checkpoint path.
+        assert_multi_matches_scalar(&harness);
     }
 }

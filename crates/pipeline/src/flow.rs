@@ -185,9 +185,8 @@ impl Flow {
             &self.design.value,
             &[self.design.key],
         )?;
-        // Surface the collapsing accounting in the run summary — but only
-        // for computed stages: cached artifacts carry no stats, and a
-        // zeroed block would read as "nothing collapsed".
+        // Record the resolved engine and lane width in the run summary —
+        // but only for computed stages: a cached artifact ran no engine.
         let computed = self
             .pipeline
             .summary()
@@ -195,8 +194,9 @@ impl Flow {
             .last()
             .is_some_and(|r| r.stage == "campaign" && !r.cached);
         if computed {
+            let engine = config.engine.resolve(&self.design.value.topology);
             self.pipeline
-                .annotate_last(format!("pruning: {}", staged.value.pruning));
+                .annotate_last(format!("engine: {engine}, lanes: {}", config.lanes));
         }
         Ok(staged)
     }

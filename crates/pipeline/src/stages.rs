@@ -856,12 +856,10 @@ impl Stage<&Design> for Campaign {
             None => h.bool(false),
         }
         h.u64(self.config.seed);
-        // `threads`, `lanes`, `engine`, and `pruning` excluded: records are
-        // bit-identical for every thread count, lane width, batched engine,
-        // and pruning mode (enforced by the campaign proptests and the
-        // pruning equivalence gate), so none of them may split the cache —
-        // an artifact computed without collapsing must hit for a collapsed
-        // configuration and vice versa.
+        // `threads`, `lanes`, and `engine` excluded: records are
+        // bit-identical for every thread count, lane width, and batched
+        // engine (enforced by the campaign proptests), so none of them may
+        // split the cache.
         match &self.wires {
             Some(spec) => {
                 h.bool(true);
@@ -912,7 +910,15 @@ impl Stage<&Design> for Campaign {
                 (input.netlist.net(wire).name(), (ff, wire))
             })
             .collect();
-        let mut records = Vec::new();
+        // The header's record count guards against a truncated artifact,
+        // which would otherwise decode as a shorter, wrong campaign.
+        let expected: usize = text
+            .lines()
+            .next()
+            .and_then(|header| header.strip_prefix("# campaign v1 records="))
+            .ok_or_else(|| MateError::artifact(self.name(), "missing `# campaign v1` header"))
+            .and_then(|n| parse_field(self.name(), 0, n))?;
+        let mut records = Vec::with_capacity(expected);
         for (idx, line) in text.lines().enumerate() {
             if line.trim().is_empty() || line.starts_with('#') {
                 continue;
@@ -945,8 +951,16 @@ impl Stage<&Design> for Campaign {
             };
             records.push((FaultPoint { ff, wire, cycle }, effect));
         }
-        // Cached artifacts carry no collapsing accounting (the stats are
-        // diagnostic, not part of the result): report an idle stats block.
+        if records.len() != expected {
+            return Err(MateError::artifact(
+                self.name(),
+                format!(
+                    "header promises {expected} records, found {}",
+                    records.len()
+                ),
+            ));
+        }
+        // A cached artifact simulated nothing: report an idle stats block.
         Ok(CampaignResult {
             records,
             pruning: PruningStats::default(),

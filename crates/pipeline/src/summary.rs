@@ -18,7 +18,7 @@ pub struct StageRecord {
     /// The artifact key the stage resolved to.
     pub key: ContentHash,
     /// Optional free-form annotation a stage owner attaches after the run
-    /// (e.g. the campaign stage records its fault-space collapsing stats
+    /// (e.g. the campaign stage records its resolved engine and lane width
     /// here).  Purely diagnostic: never part of any artifact key.
     pub detail: Option<String>,
 }

@@ -164,47 +164,41 @@ fn changed_search_config_misses_while_the_prefix_hits() {
 }
 
 /// Plants a campaign artifact under one engine configuration and proves a
-/// maximally different engine configuration — pruning mode, engine, lane
-/// width, thread count all changed — still hits it.  Collapsing is an
-/// invisible optimization: records are bit-identical for every mode, so
-/// pre-existing artifacts must keep serving after the collapsing layer
-/// landed.
+/// maximally different one — engine, lane width, thread count all changed —
+/// still hits it: records are bit-identical for every choice, so none of
+/// them may split the cache.
 #[test]
-fn pruning_and_engine_config_never_split_the_campaign_cache() {
-    use mate_hafi::{CampaignEngine, CampaignPruning, LaneWidth};
+fn engine_lanes_and_threads_never_split_the_campaign_cache() {
+    use mate_hafi::{CampaignEngine, LaneWidth};
 
-    let scratch = Scratch::new("pruning-hit");
+    let scratch = Scratch::new("engine-hit");
     let planted_config = CampaignConfig {
         cycles: 12,
         threads: 1,
         lanes: LaneWidth::W64,
         engine: CampaignEngine::FullSettle,
-        pruning: CampaignPruning::Off,
         ..CampaignConfig::default()
     };
 
-    // Plant: computed without collapsing, on the full-settle engine.
+    // Plant: the full-settle engine at 64 lanes on one thread.
     let mut flow = Flow::new(scratch.store(), tmr_source()).unwrap();
     let planted = flow.campaign(tmr_waves(), planted_config, None).unwrap();
     let summary = flow.into_summary();
     let record = summary.records.last().unwrap();
     assert!(!record.cached);
-    assert!(
-        record
-            .detail
-            .as_deref()
-            .is_some_and(|d| d.contains("pruning")),
-        "computed campaign stage should carry collapsing stats: {summary}"
+    assert_eq!(
+        record.detail.as_deref(),
+        Some("engine: full-settle, lanes: 64"),
+        "computed campaign stage should name its engine and width: {summary}"
     );
 
-    // Probe: collapsing on, auto engine, wide lanes, threaded — must hit
-    // the planted artifact byte-for-byte.
+    // Probe: auto engine, 512 lanes, three threads — must hit the planted
+    // artifact byte-for-byte.
     let probe_config = CampaignConfig {
         cycles: 12,
         threads: 3,
         lanes: LaneWidth::W512,
         engine: CampaignEngine::Auto,
-        pruning: CampaignPruning::Collapse,
         ..CampaignConfig::default()
     };
     let mut flow = Flow::new(scratch.store(), tmr_source()).unwrap();
@@ -213,13 +207,46 @@ fn pruning_and_engine_config_never_split_the_campaign_cache() {
     let record = summary.records.last().unwrap();
     assert!(
         record.cached,
-        "pruning/engine/lanes/threads must not split the cache: {summary}"
+        "engine/lanes/threads must not split the cache: {summary}"
     );
     assert_eq!(probe.key, planted.key);
     assert_eq!(probe.value.records, planted.value.records);
-    // Cached artifacts carry no collapsing accounting and no annotation.
+    // A cached artifact ran no engine: no stats, no annotation.
     assert_eq!(probe.value.pruning.points, 0);
     assert!(record.detail.is_none(), "{summary}");
+}
+
+/// A campaign artifact that lost its trailing lines must not be served as
+/// a shorter result: the header's record count rejects it and the stage is
+/// recomputed with every record back.
+#[test]
+fn truncated_campaign_artifact_is_recomputed() {
+    let scratch = Scratch::new("truncated");
+    let config = CampaignConfig {
+        cycles: 12,
+        ..CampaignConfig::default()
+    };
+    let mut flow = Flow::new(scratch.store(), tmr_source()).unwrap();
+    let original = flow.campaign(tmr_waves(), config, None).unwrap();
+    assert!(original.value.records.len() > 2);
+
+    // Cut the stored artifact after its header and first record.
+    let path = scratch
+        .0
+        .join("campaign")
+        .join(format!("{}.art", original.key.hex()));
+    let text = std::fs::read_to_string(&path).unwrap();
+    let cut: usize = text.split_inclusive('\n').take(2).map(str::len).sum();
+    std::fs::write(&path, &text[..cut]).unwrap();
+
+    let mut flow = Flow::new(scratch.store(), tmr_source()).unwrap();
+    let again = flow.campaign(tmr_waves(), config, None).unwrap();
+    let record = flow.summary().records.last().unwrap();
+    assert!(!record.cached, "{}", flow.summary());
+    assert_eq!(again.key, original.key);
+    assert_eq!(again.value.records, original.value.records);
+    // The recomputed artifact is whole again.
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
 }
 
 #[test]

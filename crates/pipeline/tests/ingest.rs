@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 
 use mate::SearchConfig;
 use mate_analyze::VerifyConfig;
-use mate_hafi::{CampaignConfig, CampaignEngine, CampaignPruning};
+use mate_hafi::{CampaignConfig, CampaignEngine};
 use mate_netlist::yosys::parse_yosys_netlist;
 use mate_netlist::{Library, MateError};
 use mate_pipeline::{ingest_gate, ArtifactStore, DesignSource, Flow, TraceSource, WireSetSpec};
@@ -95,7 +95,7 @@ fn vendored_uart_transmits_a_frame() {
     let trace = tb.run(60);
 
     let tx = netlist.outputs()[0];
-    assert_eq!(netlist.net(tx).name().contains("busy"), false);
+    assert!(!netlist.net(tx).name().contains("busy"));
     let busy = netlist.find_net("busy").unwrap();
 
     // The line idles high, then the start bit pulls it low.
@@ -177,18 +177,12 @@ fn vendored_core_runs_the_full_pipeline() {
     let counts = analysis.value.counts();
     assert_eq!(counts.refuted, 0, "unsound MATE on the vendored core");
 
-    // Campaign: every engine × pruning combination, bit-identical records.
-    let combos = [
-        (CampaignEngine::FullSettle, CampaignPruning::Off),
-        (CampaignEngine::FullSettle, CampaignPruning::Collapse),
-        (CampaignEngine::Differential, CampaignPruning::Off),
-        (CampaignEngine::Differential, CampaignPruning::Collapse),
-    ];
+    // Campaign: every engine, bit-identical records.
     let mut reference = None;
-    for (engine, pruning) in combos {
-        // A fresh store per combo forces a real recompute on every engine
-        // (they share one cache key by design — bit-identical invariant).
-        let combo_scratch = Scratch::new(&format!("combo-{engine:?}-{pruning:?}"));
+    for engine in CampaignEngine::all() {
+        // A fresh store per engine forces a real recompute on each (they
+        // share one cache key by design — bit-identical invariant).
+        let combo_scratch = Scratch::new(&format!("combo-{engine:?}"));
         let mut flow = Flow::new(combo_scratch.store(), uart_source()).unwrap();
         let result = flow
             .campaign(
@@ -197,7 +191,6 @@ fn vendored_core_runs_the_full_pipeline() {
                     cycles: 48,
                     threads: 1,
                     engine,
-                    pruning,
                     ..CampaignConfig::default()
                 },
                 None,
@@ -208,7 +201,7 @@ fn vendored_core_runs_the_full_pipeline() {
             None => reference = Some(result.value.records.clone()),
             Some(expected) => assert_eq!(
                 &result.value.records, expected,
-                "{engine:?}/{pruning:?} diverged from the reference records"
+                "{engine:?} diverged from the reference records"
             ),
         }
     }
@@ -267,8 +260,7 @@ fn ingest_gate_rejects_ill_formed_external_netlists() {
                 top: None,
             },
         )
-        .err()
-        .expect("ill-formed netlist must be rejected")
+        .expect_err("ill-formed netlist must be rejected")
     };
 
     // Undriven net: g's A input is never driven and is not a port.

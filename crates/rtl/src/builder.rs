@@ -447,24 +447,24 @@ mod tests {
 
     #[test]
     fn bitwise_ops() {
-        check_binop(3, |m, a, b| m.and(a, b), |a, b| a & b);
-        check_binop(3, |m, a, b| m.or(a, b), |a, b| a | b);
-        check_binop(3, |m, a, b| m.xor(a, b), |a, b| a ^ b);
-        check_binop(3, |m, a, b| m.nand(a, b), |a, b| !(a & b));
-        check_binop(3, |m, a, b| m.nor(a, b), |a, b| !(a | b));
-        check_binop(3, |m, a, b| m.xnor(a, b), |a, b| !(a ^ b));
+        check_binop(3, super::ModuleBuilder::and, |a, b| a & b);
+        check_binop(3, super::ModuleBuilder::or, |a, b| a | b);
+        check_binop(3, super::ModuleBuilder::xor, |a, b| a ^ b);
+        check_binop(3, super::ModuleBuilder::nand, |a, b| !(a & b));
+        check_binop(3, super::ModuleBuilder::nor, |a, b| !(a | b));
+        check_binop(3, super::ModuleBuilder::xnor, |a, b| !(a ^ b));
     }
 
     #[test]
     fn add_sub_exhaustive_4bit() {
-        check_binop(4, |m, a, b| m.add(a, b), |a, b| a.wrapping_add(b));
-        check_binop(4, |m, a, b| m.sub(a, b), |a, b| a.wrapping_sub(b));
+        check_binop(4, super::ModuleBuilder::add, u64::wrapping_add);
+        check_binop(4, super::ModuleBuilder::sub, u64::wrapping_sub);
     }
 
     #[test]
     fn comparisons() {
-        check_binop(4, |m, a, b| m.eq(a, b), |a, b| (a == b) as u64);
-        check_binop(4, |m, a, b| m.ltu(a, b), |a, b| (a < b) as u64);
+        check_binop(4, super::ModuleBuilder::eq, |a, b| (a == b) as u64);
+        check_binop(4, super::ModuleBuilder::ltu, |a, b| (a < b) as u64);
     }
 
     #[test]

@@ -215,20 +215,17 @@ impl<'n, B: LaneBlock> DeltaSimulator<'n, B> {
     }
 
     /// One scan of the nonzero frontier accumulating the lane-wise OR of
-    /// deltas into up to three observation groups: bit `k` of `flags[net]`
-    /// routes the net's delta into result `k`.  Every net outside the
-    /// frontier equals golden in all lanes, so the accumulators are exact
-    /// divergence masks for whatever each flag bit marks (primary outputs,
-    /// architectural state, next-cycle flip-flop D inputs, ...).
-    ///
-    /// This is the shared classification scan of the differential campaign
-    /// engine and the fault-space collapsing prober.
+    /// deltas into two observation groups: bit `k` of `flags[net]` routes
+    /// the net's delta into result `k`.  Every net outside the frontier
+    /// equals golden in all lanes, so the accumulators are exact divergence
+    /// masks for whatever each flag bit marks (primary outputs and
+    /// architectural state in the differential campaign engine).
     ///
     /// # Panics
     ///
     /// Panics if `flags` is shorter than the net count.
-    pub fn scan_flagged(&self, flags: &[u8]) -> [B; 3] {
-        let mut acc = [B::ZERO; 3];
+    pub fn scan_flagged(&self, flags: &[u8]) -> [B; 2] {
+        let mut acc = [B::ZERO; 2];
         for &net in &self.nonzero {
             let f = flags[net as usize];
             if f != 0 {
@@ -238,9 +235,6 @@ impl<'n, B: LaneBlock> DeltaSimulator<'n, B> {
                 }
                 if f & 2 != 0 {
                     acc[1] |= d;
-                }
-                if f & 4 != 0 {
-                    acc[2] |= d;
                 }
             }
         }

@@ -5,8 +5,8 @@
 //! pruning removes the points that are provably benign *before* any
 //! experiment runs, and the remaining experiments are classified against
 //! the golden run.  The offline half (search, trace, prune matrix) runs
-//! through the artifact-cached pipeline; the injection loop itself stays on
-//! the checkpoint-seeded batch engine.
+//! through the artifact-cached pipeline; the injection loop itself runs on
+//! the batched campaign engine.
 //!
 //! ```text
 //! cargo run --release --example hafi_campaign
@@ -14,7 +14,9 @@
 
 use fault_space_pruning::cores::avr::programs;
 use fault_space_pruning::cores::{AvrWorkload, Termination};
-use fault_space_pruning::hafi::{classify_points, golden_run, CommandModel, FaultSpace};
+use fault_space_pruning::hafi::{
+    classify_points, golden_run, CampaignConfig, CommandModel, FaultSpace,
+};
 use fault_space_pruning::mate::prelude::*;
 use fault_space_pruning::netlist::MateError;
 use fault_space_pruning::pipeline::{Flow, WireSetSpec};
@@ -55,7 +57,7 @@ fn main() -> Result<(), MateError> {
     );
 
     // The campaign: sample points, skip pruned ones, classify the rest in
-    // one checkpoint-seeded batch (the AVR memories are snapshotable).
+    // one batch (the AVR memories are transparent, so it runs wide).
     let workload = AvrWorkload::new(programs::fib(Termination::Loop), vec![]);
     let golden = golden_run(&workload, cycles + 1);
     let points = space.sample(sample, 2026);
@@ -64,7 +66,7 @@ fn main() -> Result<(), MateError> {
         .partition(|point| report.matrix.is_masked(point.wire, point.cycle));
     let skipped = pruned.len();
     let mut histogram = std::collections::BTreeMap::<&str, usize>::new();
-    for effect in classify_points(&workload, &golden, &to_run)? {
+    for effect in classify_points(&workload, &golden, &to_run, &CampaignConfig::default())? {
         let key = match effect {
             fault_space_pruning::hafi::FaultEffect::MaskedWithinOneCycle => "masked-1-cycle",
             fault_space_pruning::hafi::FaultEffect::SilentRecovery { .. } => "silent-recovery",
